@@ -36,6 +36,17 @@ func TestFacadeInferenceAndTraining(t *testing.T) {
 	}
 }
 
+func TestFacadeRejectsNonPositiveLayers(t *testing.T) {
+	for _, layers := range []int{0, -3} {
+		if _, err := cais.RunInferenceOpts(fastHW(), cais.CAIS(), tiny(), layers, cais.RunOptions{}); err == nil {
+			t.Errorf("RunInferenceOpts accepted %d layers", layers)
+		}
+		if _, err := cais.RunTraining(fastHW(), cais.CAIS(), tiny(), layers); err == nil {
+			t.Errorf("RunTraining accepted %d layers", layers)
+		}
+	}
+}
+
 func TestFacadeSubLayer(t *testing.T) {
 	subs := cais.SubLayers(tiny())
 	if len(subs) != 4 {

@@ -3,14 +3,12 @@
 //
 // Usage:
 //
-//	caislint [-json] [-sarif file] [-cache file] [-checks a,b] [-list] [-C dir] [patterns...]
+//	caislint [-json] [-sarif file] [-checks a,b] [-list] [-C dir] [patterns...]
 //
 // Patterns default to "./..." and are resolved against the module root (a
 // directory containing go.mod, found by walking up from -C or the current
 // directory). -list prints the registered checks and exits. -checks runs
-// a subset by name. -cache enables incremental mode: per-package results
-// are reused when neither the package nor any of its transitive module
-// dependencies changed. -sarif additionally writes a SARIF 2.1.0 log
+// a subset by name. -sarif additionally writes a SARIF 2.1.0 log
 // ("-" for stdout) for code-scanning UIs and CI artifacts.
 //
 // Exit status is 0 when the tree is clean, 1 when diagnostics were
@@ -31,7 +29,6 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
-	cachePath := flag.String("cache", "", "incremental mode: cache per-package results in this file")
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "print the registered checks with their one-line docs and exit")
 	dir := flag.String("C", ".", "directory to start the module-root search from")
@@ -54,10 +51,9 @@ func main() {
 		checks = strings.Split(*checksFlag, ",")
 	}
 	diags, err := lint.Run(lint.Config{
-		Dir:       root,
-		Patterns:  flag.Args(),
-		Checks:    checks,
-		CachePath: *cachePath,
+		Dir:      root,
+		Patterns: flag.Args(),
+		Checks:   checks,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "caislint:", err)

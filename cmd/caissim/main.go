@@ -265,6 +265,10 @@ func runStrategy(r strategyRun) {
 	default:
 		usageErr("model", r.model, []string{"mega-gpt-4b", "mega-gpt-8b", "llama-7b"})
 	}
+	if r.layers < 1 {
+		fmt.Fprintf(os.Stderr, "-layers %d: need at least 1 layer\n", r.layers)
+		os.Exit(2)
+	}
 	hw := cais.DGXH100()
 	hw.RequestBytes = 32 << 10
 	if r.gpusSet {

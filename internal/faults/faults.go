@@ -22,8 +22,8 @@ type Kind int
 
 const (
 	// LinkDegrade scales the bandwidth of the targeted links by Factor
-	// (0 < Factor <= 1) for the fault window; 0.25 models a link that lost
-	// 75% of its lanes.
+	// (MinDegrade <= Factor <= 1) for the fault window; 0.25 models a
+	// link that lost 75% of its lanes.
 	LinkDegrade Kind = iota
 	// LinkDown stalls the targeted links completely: queued traffic holds
 	// and resumes at repair. A repair time is mandatory — a permanently
@@ -39,8 +39,20 @@ const (
 	// (the same path the strategy layer uses for non-CAIS configurations).
 	MergeDisable
 	// Straggler scales the targeted GPU's thread-block compute time by
-	// Factor (>= 1): a thermally throttled or contended GPU.
+	// Factor (1 <= Factor <= MaxStraggler): a thermally throttled or
+	// contended GPU.
 	Straggler
+)
+
+// Factor bounds. Scaled durations are int64 picoseconds, so an unbounded
+// slowdown overflows into negative event times and a vanishing bandwidth
+// rounds to nonsense; a 1000x slowdown of the longest run stays far inside
+// that range.
+const (
+	// MinDegrade is the smallest LinkDegrade factor (1000x less bandwidth).
+	MinDegrade = 1e-3
+	// MaxStraggler is the largest Straggler factor (1000x slower compute).
+	MaxStraggler = 1e3
 )
 
 var kindNames = map[Kind]string{
@@ -110,8 +122,9 @@ type Fault struct {
 	GPU int
 	// Dir selects the link direction(s) for LinkDegrade / LinkDown.
 	Dir Dir
-	// Factor is the bandwidth scale for LinkDegrade (0 < f <= 1) and the
-	// compute slowdown for Straggler (f >= 1); ignored otherwise.
+	// Factor is the bandwidth scale for LinkDegrade (MinDegrade <= f <= 1)
+	// and the compute slowdown for Straggler (1 <= f <= MaxStraggler);
+	// ignored otherwise.
 	Factor float64
 }
 
@@ -207,8 +220,8 @@ func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 			if err := checkGPU(f, numGPUs, true); err != nil {
 				return err
 			}
-			if f.Factor <= 0 || f.Factor > 1 {
-				return fmt.Errorf("faults: fault %d (%s): degrade factor must be in (0,1]", i, f)
+			if !(f.Factor >= MinDegrade && f.Factor <= 1) { // also rejects NaN
+				return fmt.Errorf("faults: fault %d (%s): degrade factor must be in [%g,1]", i, f, MinDegrade)
 			}
 		case LinkDown:
 			if err := checkPlane(f, numPlanes, true); err != nil {
@@ -241,8 +254,8 @@ func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 			if err := checkGPU(f, numGPUs, false); err != nil {
 				return err
 			}
-			if f.Factor < 1 {
-				return fmt.Errorf("faults: fault %d (%s): straggler factor must be >= 1", i, f)
+			if !(f.Factor >= 1 && f.Factor <= MaxStraggler) { // also rejects NaN
+				return fmt.Errorf("faults: fault %d (%s): straggler factor must be in [1,%g]", i, f, MaxStraggler)
 			}
 		default:
 			return fmt.Errorf("faults: fault %d: unknown kind %d", i, int(f.Kind))

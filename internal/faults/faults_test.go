@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -55,6 +56,41 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateBoundsFactors covers factors that used to pass validation and
+// then broke the run: a 1e12 straggler overflowed into a negative event
+// time, a 1e15 straggler wrapped around and ran faster than healthy, a
+// 1e-30 degrade read close to healthy, and NaN compared false against
+// every one-sided bound.
+func TestValidateBoundsFactors(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		kind   Kind
+		factor float64
+		ok     bool
+	}{
+		{Straggler, 1, true},
+		{Straggler, 4, true},
+		{Straggler, MaxStraggler, true},
+		{Straggler, 1e12, false},
+		{Straggler, 1e15, false},
+		{Straggler, inf, false},
+		{Straggler, nan, false},
+		{LinkDegrade, 0.25, true},
+		{LinkDegrade, 1, true},
+		{LinkDegrade, MinDegrade, true},
+		{LinkDegrade, 1e-30, false},
+		{LinkDegrade, inf, false},
+		{LinkDegrade, nan, false},
+	}
+	for _, tc := range cases {
+		s := Schedule{Faults: []Fault{{Kind: tc.kind, Plane: All, GPU: 0, Factor: tc.factor}}}
+		err := s.Validate(8, 4)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s factor %g: Validate = %v, want ok=%v", tc.kind, tc.factor, err, tc.ok)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func (g *GPU) hbmDone() {
 
 	case jobLocal:
 		c := j.ctx
-		if len(c.a.Publish) > 0 || c.a.PublishAt != nil || c.a.PublishEach.Buf != 0 {
+		if c.a.Publish.Set() {
 			g.sink.OnAccessDone(g.ID, c.a)
 		}
 		if c.onComplete != nil {

@@ -20,15 +20,9 @@ import (
 // TileTag travels on data packets so the machine layer can publish tiles
 // and count reduction contributions at the receiving GPU.
 type TileTag struct {
-	Base      uint64 // access base address (chunks share it)
-	NeedBytes int64  // contribution bytes required before publishing
-	Publish   []kernel.Tile
-	// PublishAt, when non-nil, yields receiver-specific tiles (multicast
-	// copies land in per-GPU local buffers).
-	PublishAt func(gpu int) []kernel.Tile
-	// PublishEach, when Buf != 0, makes receiver r publish the single
-	// tile {Buf, Idx + r} — the closure-free stride-1 multicast form.
-	PublishEach kernel.Tile
+	Base      uint64         // access base address (chunks share it)
+	NeedBytes int64          // contribution bytes required before publishing
+	Publish   kernel.Publish // published at the receiver once NeedBytes arrived
 }
 
 // DataSink is the machine layer's view of data movement: it receives every
@@ -245,7 +239,7 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 		if onIssued != nil {
 			g.eng.After(0, onIssued)
 		}
-		if len(a.Publish) > 0 || a.PublishAt != nil || a.PublishEach.Buf != 0 || onComplete != nil {
+		if a.Publish.Set() || onComplete != nil {
 			ctx := g.getAccessCtx()
 			ctx.a = a
 			ctx.onComplete = onComplete
@@ -264,8 +258,7 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 	// Reads publish their tiles at the issuing GPU once the data arrives;
 	// remote writes/reductions publish at the home GPU via the packet tag
 	// (never here — the issuer's completion is only a throttling signal).
-	ctx.publishHere = a.Sem == kernel.SemRead &&
-		(len(a.Publish) > 0 || a.PublishAt != nil || a.PublishEach.Buf != 0)
+	ctx.publishHere = a.Sem == kernel.SemRead && a.Publish.Set()
 	// Throttling applies to reduction traffic: red.cais carries data
 	// uplink (the direction the merge footprint accumulates on), while
 	// ld.cais requests are header-only and already paced by the
@@ -283,8 +276,7 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 		// flight reference it at their receivers, so it stays a plain
 		// allocation rather than joining a pool.
 		ctx.tag = &TileTag{
-			Base: a.Addr, NeedBytes: int64(need) * a.Bytes,
-			Publish: a.Publish, PublishAt: a.PublishAt, PublishEach: a.PublishEach,
+			Base: a.Addr, NeedBytes: int64(need) * a.Bytes, Publish: a.Publish,
 		}
 	}
 

@@ -84,7 +84,7 @@ func TestLaunchLifecycleWithLoadsComputeAndPosts(t *testing.T) {
 					Pre: []kernel.Access{{
 						Sem: kernel.SemRead, Mode: noc.OpLdCAIS,
 						Addr: 100, Home: 0, Bytes: 4 << 10, Expected: 1,
-						Publish: []kernel.Tile{copyTile},
+						Publish: kernel.Publish{Tile: copyTile},
 					}},
 					Post: []kernel.Access{{
 						Sem: kernel.SemReduce, Mode: noc.OpRedCAIS,
@@ -123,7 +123,7 @@ func TestLaunchLifecycleWithLoadsComputeAndPosts(t *testing.T) {
 	// The load completed and published its copy tile at the issuer.
 	foundPublish := false
 	for _, a := range sink.accesses {
-		if a.Sem == kernel.SemRead && len(a.Publish) == 1 {
+		if a.Sem == kernel.SemRead && a.Publish.Tile == copyTile {
 			foundPublish = true
 		}
 	}

@@ -81,6 +81,26 @@ type Tile struct {
 	Idx int
 }
 
+// Publish names the tile an access makes ready. The zero value publishes
+// nothing (buffer IDs start at 1).
+type Publish struct {
+	Tile
+	// PerReceiver makes receiver GPU r publish {Buf, Idx + r}: the copies
+	// of a multicast or a per-peer store land in per-GPU buffers.
+	PerReceiver bool
+}
+
+// Set reports whether there is a tile to publish.
+func (p Publish) Set() bool { return p.Buf != 0 }
+
+// At resolves the tile receiver gpu publishes.
+func (p Publish) At(gpu int) Tile {
+	if p.PerReceiver {
+		return Tile{Buf: p.Buf, Idx: p.Idx + gpu}
+	}
+	return p.Tile
+}
+
 // Access is one remote or local memory operation a TB performs.
 type Access struct {
 	// Sem is the semantic requirement; Mode is the lowered wire
@@ -94,25 +114,14 @@ type Access struct {
 	Bytes    int64  // total bytes moved by this access
 	Expected int    // participating requests for merge/sync tracking
 
-	// Publish lists tiles that become ready when this access's data
+	// Publish is the tile that becomes ready when this access's data
 	// movement completes: at the issuing GPU for loads and local
 	// accesses, at the home GPU (via contribution counting) for
-	// reductions and stores.
-	Publish []Tile
-
-	// PublishAt, when non-nil, yields receiver-specific tiles for
-	// multicast stores, whose copies land in per-GPU local buffers.
-	PublishAt func(gpu int) []Tile
-
-	// PublishEach is the closure-free form of the common stride-1
-	// PublishAt pattern: when Buf != 0, receiver r publishes the single
-	// tile {Buf, Idx + r}. Builders prefer it over PublishAt because a
-	// Tile value costs nothing to construct while a closure is a heap
-	// allocation per access per kernel per iteration.
-	PublishEach Tile
+	// reductions and stores, and at every receiver for multicasts.
+	Publish Publish
 
 	// TileNeed is the number of whole-access contributions required at
-	// the home GPU before Publish tiles become ready (reductions: all
+	// the home GPU before the Publish tile becomes ready (reductions: all
 	// contributors including the home GPU's local partial). Zero means 1.
 	TileNeed int
 

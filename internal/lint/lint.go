@@ -37,9 +37,7 @@
 //
 // The analyzer is pure stdlib (go/parser, go/ast, go/types, go/importer);
 // it type-checks the module from source so the type-driven checks see
-// real types, not syntax. Incremental runs (Config.CachePath) reuse
-// per-package results keyed by content hashes of the package and its
-// transitive module dependencies.
+// real types, not syntax.
 package lint
 
 import (
@@ -98,11 +96,6 @@ type Config struct {
 	// Checks selects a subset of the registered analyzers by name.
 	// Empty means all.
 	Checks []string
-	// CachePath, when non-empty, enables incremental mode: per-package
-	// diagnostics are cached there keyed by content hashes of the
-	// package and its transitive module dependencies, so repeated runs
-	// skip unchanged packages entirely.
-	CachePath string
 
 	// TimeTypes are fully-qualified named types ("<pkg>.<Name>") treated
 	// as simulated time. Default: <module>/internal/sim.Time.
@@ -192,29 +185,6 @@ func (c Config) resolve(module string) *resolved {
 	return r
 }
 
-// fingerprint renders the policy config canonically for cache keying: any
-// policy change invalidates every cached package.
-func (r *resolved) fingerprint() string {
-	var b strings.Builder
-	b.WriteString("module=" + r.module)
-	for _, part := range []struct {
-		name string
-		vals []string
-	}{
-		{"time", sortedKeys(r.timeTypes)},
-		{"wallclock", append([]string(nil), r.wallclockAllow...)},
-		{"engine", sortedKeys(r.enginePkgs)},
-		{"conc", append([]string(nil), r.concurrencyAllow...)},
-		{"unit", append([]string(nil), r.unitAllow...)},
-		{"pool", sortedKeys(r.poolPkgs)},
-		{"digest", sortedKeys(r.digestPkgs)},
-	} {
-		b.WriteString(";" + part.name + "=")
-		b.WriteString(strings.Join(part.vals, ","))
-	}
-	return b.String()
-}
-
 // pathAllowed reports whether an import path is covered by an allowlist
 // prefix (exact package or any package below it).
 func pathAllowed(path string, allow []string) bool {
@@ -250,36 +220,13 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	rc := cfg.resolve(l.module)
 	mod := newModState(l, rc)
 
-	var cache *Cache
-	if cfg.CachePath != "" {
-		cache, err = openCache(cfg.CachePath, l, rc.fingerprint(), checkNames(checks))
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	var diags []Diagnostic
 	for _, path := range paths {
-		if cache != nil {
-			if cached, ok := cache.get(path); ok {
-				diags = append(diags, cached...)
-				continue
-			}
-		}
 		p, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
-		pd := lintPackage(p, mod, checks)
-		diags = append(diags, pd...)
-		if cache != nil {
-			cache.put(path, pd)
-		}
-	}
-	if cache != nil {
-		if err := cache.save(); err != nil {
-			return nil, err
-		}
+		diags = append(diags, lintPackage(p, mod, checks)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -295,15 +242,6 @@ func Run(cfg Config) ([]Diagnostic, error) {
 		return a.Check < b.Check
 	})
 	return diags, nil
-}
-
-// checkNames lists analyzer names in registry order (cache key input).
-func checkNames(checks []*Analyzer) []string {
-	out := make([]string, len(checks))
-	for i, a := range checks {
-		out[i] = a.Name
-	}
-	return out
 }
 
 // reporter is the sink checks report into; suppression by directive

@@ -205,3 +205,19 @@ func TestRepoClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 }
+
+// BenchmarkLintModule measures a full whole-module analysis over the
+// fixture module — the end-to-end cost `make lint` pays per package tree
+// (load, type check, all registered passes).
+func BenchmarkLintModule(b *testing.B) {
+	root, err := filepath.Abs("testdata/src")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(Config{Dir: root}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -121,7 +121,7 @@ func SARIF(diags []Diagnostic, root string) ([]byte, error) {
 		Runs: []sarifRun{{
 			Tool: sarifTool{Driver: sarifDriver{
 				Name:    "caislint",
-				Version: cacheSchemaVersion,
+				Version: "caislint/2",
 				Rules:   rules,
 			}},
 			OriginalURIBaseIDs: map[string]sarifBaseURI{

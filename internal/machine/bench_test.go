@@ -18,7 +18,7 @@ import (
 // register a TB against two unready tiles, publish both (waking and
 // admitting the TB), and drain the engine so the no-op TB retires and its
 // run slot recycles. The tiles are un-published between iterations so the
-// tracker's maps stay at constant size.
+// tracker's slots stay at constant size.
 func BenchmarkRegisterTB(b *testing.B) {
 	eng := sim.NewEngine()
 	m := New(eng, testHW(), Options{})
@@ -38,8 +38,8 @@ func BenchmarkRegisterTB(b *testing.B) {
 		nextTB++
 		m.PublishTiles(in)
 		eng.Run() // retire the admitted no-op TB, recycling its run slot
-		m.ready[in[0]] = false
-		m.ready[in[1]] = false
+		m.slot(in[0]).ready = false
+		m.slot(in[1]).ready = false
 	}
 	for i := 0; i < 64; i++ {
 		cycle() // warm the pools, waiter lists, and event heap

@@ -117,7 +117,8 @@ func (m *Machine) registerTB(l *gpu.Launch, tb int, in []kernel.Tile) {
 	pending := 0
 	var dep *tbDep
 	for _, t := range in {
-		if m.ready[t] {
+		s := m.slot(t)
+		if s.ready {
 			continue
 		}
 		if dep == nil {
@@ -125,7 +126,7 @@ func (m *Machine) registerTB(l *gpu.Launch, tb int, in []kernel.Tile) {
 			dep.launch, dep.tb = l, tb
 		}
 		pending++
-		m.addWaiter(t, dep)
+		m.addWaiter(s, dep)
 	}
 	if pending == 0 {
 		l.MarkEligible(tb)
@@ -137,14 +138,13 @@ func (m *Machine) registerTB(l *gpu.Launch, tb int, in []kernel.Tile) {
 // addWaiter appends a dependency record to a tile's waiter list, reusing
 // a recycled backing array for lists starting from scratch. Identical
 // dependency sets thereby share pool-interned storage across kernels
-// instead of growing a fresh map entry per registration.
-func (m *Machine) addWaiter(t kernel.Tile, d *tbDep) {
-	w, ok := m.waiters[t]
-	if !ok && len(m.depLists) > 0 {
-		w = m.depLists[len(m.depLists)-1]
+// instead of growing a fresh list per registration.
+func (m *Machine) addWaiter(s *tileSlot, d *tbDep) {
+	if s.waiters == nil && len(m.depLists) > 0 {
+		s.waiters = m.depLists[len(m.depLists)-1]
 		m.depLists = m.depLists[:len(m.depLists)-1]
 	}
-	m.waiters[t] = append(w, d)
+	s.waiters = append(s.waiters, d)
 }
 
 // PublishTiles marks tiles globally ready and wakes waiting TBs in
@@ -157,18 +157,21 @@ func (m *Machine) PublishTiles(tiles []kernel.Tile) {
 
 // publishOne publishes a single tile: drained dependency records return
 // to their pool and the waiter list's backing array goes back on the
-// free list for the next registration.
+// free list for the next registration. The slot is cleared before any TB
+// wakes, because a woken TB may publish further tiles and grow the slot's
+// buffer under the pointer.
 func (m *Machine) publishOne(t kernel.Tile) {
-	if m.ready[t] {
+	s := m.slot(t)
+	if s.ready {
 		return
 	}
-	m.ready[t] = true
+	s.ready = true
 	m.PublishedTiles++
-	deps, ok := m.waiters[t]
-	if !ok {
+	deps := s.waiters
+	if deps == nil {
 		return
 	}
-	delete(m.waiters, t)
+	s.waiters = nil
 	for i, d := range deps {
 		deps[i] = nil
 		d.pending--
@@ -183,11 +186,11 @@ func (m *Machine) publishOne(t kernel.Tile) {
 }
 
 // TileReady reports whether a tile has been published.
-func (m *Machine) TileReady(t kernel.Tile) bool { return m.ready[t] }
+func (m *Machine) TileReady(t kernel.Tile) bool { return m.slot(t).ready }
 
 // OnData implements gpu.DataSink: a data packet committed to HBM at GPU g.
 // Packets carrying a TileTag contribute toward their access's completion;
-// once the required contribution bytes accumulate, the tiles publish.
+// once the required contribution bytes accumulate, its tile publishes.
 func (m *Machine) OnData(g int, p *noc.Packet) {
 	tag, ok := p.Tag.(*gpu.TileTag)
 	if !ok || tag == nil {
@@ -197,8 +200,7 @@ func (m *Machine) OnData(g int, p *noc.Packet) {
 	if contribs < 1 {
 		contribs = 1
 	}
-	m.addContribution(g, tag.Base, tag.NeedBytes, int64(contribs)*p.Size,
-		tag.Publish, tag.PublishAt, tag.PublishEach)
+	m.addContribution(g, tag.Base, tag.NeedBytes, int64(contribs)*p.Size, tag.Publish)
 }
 
 // OnAccessDone implements gpu.DataSink: one TB's access completed at the
@@ -207,19 +209,17 @@ func (m *Machine) OnData(g int, p *noc.Packet) {
 // GPU.
 func (m *Machine) OnAccessDone(g int, a kernel.Access) {
 	if a.Sem == kernel.SemRead {
-		m.publishFor(g, a.Publish, a.PublishAt, a.PublishEach)
+		m.publishFor(g, a.Publish)
 		return
 	}
 	need := a.TileNeed
 	if need <= 0 {
 		need = 1
 	}
-	m.addContribution(g, a.Addr, int64(need)*a.Bytes, a.Bytes,
-		a.Publish, a.PublishAt, a.PublishEach)
+	m.addContribution(g, a.Addr, int64(need)*a.Bytes, a.Bytes, a.Publish)
 }
 
-func (m *Machine) addContribution(g int, base uint64, needBytes, bytes int64,
-	pub []kernel.Tile, pubAt func(int) []kernel.Tile, pubEach kernel.Tile) {
+func (m *Machine) addContribution(g int, base uint64, needBytes, bytes int64, pub kernel.Publish) {
 	key := contribKey{base: base, gpu: g}
 	st, ok := m.contrib[key]
 	if !ok {
@@ -238,17 +238,12 @@ func (m *Machine) addContribution(g int, base uint64, needBytes, bytes int64,
 	delete(m.contrib, key)
 	st.reset()
 	m.contribs.Put(st)
-	m.publishFor(g, pub, pubAt, pubEach)
+	m.publishFor(g, pub)
 }
 
-func (m *Machine) publishFor(g int, tiles []kernel.Tile, perGPU func(int) []kernel.Tile, each kernel.Tile) {
-	if perGPU != nil {
-		m.PublishTiles(perGPU(g))
-		return
+// publishFor publishes the access's tile as seen by receiver GPU g.
+func (m *Machine) publishFor(g int, pub kernel.Publish) {
+	if pub.Set() {
+		m.publishOne(pub.At(g))
 	}
-	if each.Buf != 0 {
-		m.publishOne(kernel.Tile{Buf: each.Buf, Idx: each.Idx + g})
-		return
-	}
-	m.PublishTiles(tiles)
 }

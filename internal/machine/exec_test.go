@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"cais/internal/gpu"
 	"cais/internal/kernel"
 	"cais/internal/metrics"
 	"cais/internal/noc"
@@ -40,13 +41,13 @@ func TestKernelSpansRecorded(t *testing.T) {
 
 func TestContributionInconsistencyPanics(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	m.addContribution(0, 99, 100, 10, nil, nil, kernel.Tile{})
+	m.addContribution(0, 99, 100, 10, kernel.Publish{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("inconsistent contribution need did not panic")
 		}
 	}()
-	m.addContribution(0, 99, 200, 10, nil, nil, kernel.Tile{})
+	m.addContribution(0, 99, 200, 10, kernel.Publish{})
 }
 
 func TestOnDataIgnoresUntaggedPackets(t *testing.T) {
@@ -83,5 +84,46 @@ func TestPublishTilesIdempotent(t *testing.T) {
 	}
 	if !m.TileReady(tl) {
 		t.Fatal("tile not ready")
+	}
+}
+
+// TestPublishResolvesAtReceiver pins the publish value on the three paths
+// that publish: a fixed tile publishes as named, a per-receiver tile
+// publishes {Buf, Idx + g} at receiver g.
+func TestPublishResolvesAtReceiver(t *testing.T) {
+	const g, idx = 2, 3
+	paths := []struct {
+		name    string
+		deliver func(m *Machine, pub kernel.Publish)
+	}{
+		{"read", func(m *Machine, pub kernel.Publish) {
+			m.OnAccessDone(g, kernel.Access{Sem: kernel.SemRead, Publish: pub})
+		}},
+		{"local write", func(m *Machine, pub kernel.Publish) {
+			m.OnAccessDone(g, kernel.Access{Sem: kernel.SemWrite, Addr: 7, Bytes: 64, Publish: pub})
+		}},
+		{"remote contribution", func(m *Machine, pub kernel.Publish) {
+			tag := &gpu.TileTag{Base: 7, NeedBytes: 128, Publish: pub}
+			for i := 0; i < 2; i++ {
+				m.OnData(g, &noc.Packet{Op: noc.OpStore, Size: 64, Tag: tag})
+			}
+		}},
+	}
+	for _, path := range paths {
+		for _, perReceiver := range []bool{false, true} {
+			m := newTestMachine(t, testHW(), Options{})
+			buf := m.NewBuffer()
+			path.deliver(m, kernel.Publish{Tile: kernel.Tile{Buf: buf, Idx: idx}, PerReceiver: perReceiver})
+			want, other := idx, idx+g
+			if perReceiver {
+				want, other = other, want
+			}
+			if !m.TileReady(kernel.Tile{Buf: buf, Idx: want}) || m.TileReady(kernel.Tile{Buf: buf, Idx: other}) {
+				t.Errorf("%s, per-receiver=%v: want idx %d ready and idx %d not", path.name, perReceiver, want, other)
+			}
+			if m.PublishedTiles != 1 {
+				t.Errorf("%s, per-receiver=%v: %d tiles published, want 1", path.name, perReceiver, m.PublishedTiles)
+			}
+		}
 	}
 }

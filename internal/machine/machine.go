@@ -8,7 +8,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 
 	"cais/internal/config"
 	"cais/internal/faults"
@@ -60,9 +59,9 @@ type Machine struct {
 	upLink   [][]*noc.Link // [plane][gpu] GPU->switch
 	downLink [][]*noc.Link // [plane][gpu] switch->GPU
 
-	// Global tile tracker.
-	ready   map[kernel.Tile]bool
-	waiters map[kernel.Tile][]*tbDep
+	// Global tile tracker: slots[Buf][Idx], each buffer's slice grown on
+	// first touch (see slot).
+	slots [][]tileSlot
 
 	// Reduction contribution counting at home GPUs.
 	contrib map[contribKey]*contribState
@@ -150,6 +149,26 @@ func (c *contribState) reset() {
 	c.got = 0
 }
 
+// tileSlot is one tile's tracker state: published yet, and the TBs
+// registered against it until then.
+type tileSlot struct {
+	ready   bool
+	waiters []*tbDep
+}
+
+// slot returns the tracker state of t, growing the buffer's slice (and
+// the buffer table) on first touch so raw buffer IDs need no
+// registration.
+func (m *Machine) slot(t kernel.Tile) *tileSlot {
+	if t.Buf >= len(m.slots) {
+		m.slots = append(m.slots, make([][]tileSlot, t.Buf+1-len(m.slots))...)
+	}
+	if s := m.slots[t.Buf]; t.Idx >= len(s) {
+		m.slots[t.Buf] = append(s, make([]tileSlot, t.Idx+1-len(s))...)
+	}
+	return &m.slots[t.Buf][t.Idx]
+}
+
 // tbDep tracks one TB instance's unsatisfied input count.
 type tbDep struct {
 	launch  *gpu.Launch
@@ -233,8 +252,6 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 	}
 	m := &Machine{
 		Eng: eng, HW: hw, Opts: opts,
-		ready:   make(map[kernel.Tile]bool),
-		waiters: make(map[kernel.Tile][]*tbDep),
 		contrib: make(map[contribKey]*contribState),
 		// Address 0 is reserved so a zero Access is always a bug.
 		nextAddr: 1,
@@ -571,25 +588,13 @@ func (m *Machine) Run() sim.Time { return m.Eng.Run() }
 // unsatisfied dependencies — a deadlock or a miswired workload.
 func (m *Machine) CheckQuiescent() error {
 	var stuck []string
-	tiles := make([]kernel.Tile, 0, len(m.waiters))
-	for t := range m.waiters {
-		tiles = append(tiles, t)
-	}
-	sort.Slice(tiles, func(i, j int) bool {
-		if tiles[i].Buf != tiles[j].Buf {
-			return tiles[i].Buf < tiles[j].Buf
-		}
-		return tiles[i].Idx < tiles[j].Idx
-	})
-	for _, t := range tiles {
-		live := 0
-		for _, d := range m.waiters[t] {
-			if d.pending > 0 {
-				live++
+	for buf, slots := range m.slots {
+		for idx, s := range slots {
+			// Only unpublished tiles hold waiters, and each waiting TB
+			// still counts this tile among its pending inputs.
+			if n := len(s.waiters); n > 0 {
+				stuck = append(stuck, fmt.Sprintf("tile{buf=%d idx=%d}: %d TBs waiting", buf, idx, n))
 			}
-		}
-		if live > 0 {
-			stuck = append(stuck, fmt.Sprintf("tile{buf=%d idx=%d}: %d TBs waiting", t.Buf, t.Idx, live))
 		}
 	}
 	for _, g := range m.GPUs {
@@ -606,7 +611,6 @@ func (m *Machine) CheckQuiescent() error {
 	if len(stuck) == 0 {
 		return nil
 	}
-	sort.Strings(stuck)
 	if len(stuck) > 12 {
 		stuck = append(stuck[:12], "...")
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"cais/internal/config"
@@ -103,14 +104,14 @@ func buildAGKernel(m *Machine, rows, cols int, shardBytes int64, copyBuf int) *k
 					d.Pre = append(d.Pre, kernel.Access{
 						Sem: kernel.SemRead, Mode: noc.OpLoad, Local: true,
 						Addr: bases[r], Home: g, Bytes: shardBytes,
-						Publish: []kernel.Tile{copyTile},
+						Publish: kernel.Publish{Tile: copyTile},
 					})
 				} else {
 					d.Pre = append(d.Pre, kernel.Access{
 						Sem: kernel.SemRead, Mode: noc.OpLdCAIS,
 						Addr: bases[r], Home: home, Bytes: shardBytes,
 						Expected: n - 1,
-						Publish:  []kernel.Tile{copyTile},
+						Publish:  kernel.Publish{Tile: copyTile},
 					})
 				}
 			} else {
@@ -181,7 +182,7 @@ func buildRSKernel(m *Machine, rows int, tileBytes int64, outBuf int, coordinate
 			a := kernel.Access{
 				Sem: kernel.SemReduce, Addr: bases[tb], Home: home,
 				Bytes: tileBytes, TileNeed: n,
-				Publish: []kernel.Tile{redTile},
+				Publish: kernel.Publish{Tile: redTile},
 			}
 			if home == g {
 				a.Mode = noc.OpStore
@@ -308,17 +309,28 @@ func TestAddrAllocatorNonOverlapping(t *testing.T) {
 
 func TestCheckQuiescentDetectsStuckDependency(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
-	never := kernel.Tile{Buf: 999, Idx: 0}
+	// Never-published tiles in two raw buffers, listed out of order. The
+	// report walks (Buf, Idx) numerically, so buf=2 precedes buf=10.
+	never := []kernel.Tile{{Buf: 10, Idx: 0}, {Buf: 2, Idx: 5}, {Buf: 2, Idx: 1}}
 	k := &kernel.Kernel{
 		Name: "stuck", Grid: 1,
 		Work: func(g, tb int) kernel.TBDesc {
-			return kernel.TBDesc{In: []kernel.Tile{never}, Group: -1}
+			return kernel.TBDesc{In: never, Group: -1}
 		},
 	}
 	m.Eng.At(0, func() { m.LaunchKernel(k, nil) })
 	m.Run()
-	if err := m.CheckQuiescent(); err == nil {
+	err := m.CheckQuiescent()
+	if err == nil {
 		t.Fatal("stuck dependency not detected")
+	}
+	msg, last := err.Error(), -1
+	for _, want := range []string{"tile{buf=2 idx=1}: 4 TBs waiting", "tile{buf=2 idx=5}: 4 TBs waiting", "tile{buf=10 idx=0}: 4 TBs waiting"} {
+		at := strings.Index(msg, want)
+		if at <= last {
+			t.Fatalf("want %q after position %d in %q", want, last, msg)
+		}
+		last = at
 	}
 }
 

@@ -236,7 +236,7 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 			addr := uint64(pattern.Addr.Eval(kernel.Env{GPU: int64(g), BlockIdx: int64(tb)}))
 			acc := kernel.Access{
 				Sem: kernel.SemRead, Addr: addr, Home: owner, Bytes: rowBytes,
-				Publish: b.tiles.One(copies.Tile(mi, g)),
+				Publish: kernel.Publish{Tile: copies.Tile(mi, g)},
 			}
 			if owner == g {
 				acc.Mode = noc.OpLoad
@@ -327,7 +327,7 @@ func (b *Builder) FusedGEMMRS(name string, m, n, kLocal int, scale float64, in I
 			acc := kernel.Access{
 				Sem: kernel.SemReduce, Addr: addr, Home: owner, Bytes: tileBytes,
 				TileNeed: b.P,
-				Publish:  b.tiles.One(parts.Tile(mi, ni, 0)),
+				Publish:  kernel.Publish{Tile: parts.Tile(mi, ni, 0)},
 			}
 			if owner == g {
 				acc.Mode = noc.OpStore
@@ -385,16 +385,14 @@ func (b *Builder) FusedGEMMAR(name string, m, n, kLocal int, scale float64, in I
 		Work: func(g, tb int) kernel.TBDesc {
 			mi, ni := tb/nT, tb%nT
 			// All P GPUs contribute through the switch; the reduced tile
-			// broadcasts back to every replica.
-			// Receiver r's replica tile is out.Tile(mi, ni, r) — stride 1
-			// in the GPU index, so the closure-free PublishEach form
-			// applies.
+			// broadcasts back to every replica, and receiver r publishes
+			// its replica tile out.Tile(mi, ni, r).
 			acc := kernel.Access{
 				Sem: kernel.SemReduce, Mode: v.Mode,
 				Addr: uint64(pattern.Addr.Eval(kernel.Env{GPU: int64(g), BlockIdx: int64(tb)})),
 				Home: mi % b.P, Bytes: tileBytes,
 				Expected: b.P, TileNeed: b.P, Broadcast: true,
-				PublishEach: out.Tile(mi, ni, 0),
+				Publish: kernel.Publish{Tile: out.Tile(mi, ni, 0), PerReceiver: true},
 			}
 			return kernel.TBDesc{
 				Flops: flops, LocalBytes: localBytes,

@@ -52,7 +52,7 @@ func (b *Builder) NVLSAllGather(name string, src Sharded, cols int, in InTiles, 
 			Post: b.accs.One(kernel.Access{
 				Sem: kernel.SemWrite, Mode: noc.OpMultimemST,
 				Addr: base + uint64(mi)*addrsPerRow, Home: g, Bytes: rowBytes,
-				PublishEach: out.Tile(mi, 0),
+				Publish: kernel.Publish{Tile: out.Tile(mi, 0), PerReceiver: true},
 			}),
 		}
 	})
@@ -84,7 +84,7 @@ func (b *Builder) NVLSReduceScatter(name string, m, n int, in InTiles, red Shard
 				Sem: kernel.SemRead, Mode: noc.OpMultimemLdReduce,
 				Addr: base + uint64(tb)*addrsPerTile, Home: g, Bytes: tileBytes,
 				Expected: 1,
-				Publish:  b.tiles.One(parts.Tile(mi, ni, 0)),
+				Publish:  kernel.Publish{Tile: parts.Tile(mi, ni, 0)},
 			}),
 		}
 	})
@@ -112,7 +112,7 @@ func (b *Builder) NVLSAllReduce(name string, m, n int, in InTiles, out LocalGrid
 				Sem: kernel.SemReduce, Mode: noc.OpMultimemRed,
 				Addr: base + uint64(tb)*addrsPerTile, Home: -1, Bytes: tileBytes,
 				Expected: b.P, TileNeed: b.P,
-				PublishEach: out.Tile(mi, ni, 0),
+				Publish: kernel.Publish{Tile: out.Tile(mi, ni, 0), PerReceiver: true},
 			}),
 		}
 	})
@@ -147,8 +147,7 @@ func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, red Shard
 			// Wait for the accumulated partial from the predecessor.
 			d.In = b.tiles.With(d.In, hopTile(tb, g))
 		}
-		// The hop's only receiver is next, so a plain Publish replaces
-		// the receiver-independent PublishAt closure.
+		// The hop's only receiver is next, so the tile is fixed.
 		publish := hopTile(tb, next)
 		if next == owner {
 			publish = parts.Tile(mi, ni, 0)
@@ -156,7 +155,7 @@ func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, red Shard
 		d.Post = b.accs.One(kernel.Access{
 			Sem: kernel.SemWrite, Mode: noc.OpStore,
 			Addr: base + uint64(tb)*addrsPerTile, Home: next, Bytes: tileBytes,
-			Publish: b.tiles.One(publish),
+			Publish: kernel.Publish{Tile: publish},
 		})
 		return d
 	})
@@ -193,7 +192,7 @@ func (b *Builder) RingAllGather(name string, src Sharded, cols int, in InTiles, 
 		d.Post = b.accs.One(kernel.Access{
 			Sem: kernel.SemWrite, Mode: noc.OpStore,
 			Addr: base + uint64(mi)*addrsPerRow, Home: next, Bytes: rowBytes,
-			PublishEach: out.Tile(mi, 0),
+			Publish: kernel.Publish{Tile: out.Tile(mi, 0), PerReceiver: true},
 		})
 		return d
 	})
@@ -240,7 +239,7 @@ func (b *Builder) RingAllReduce(name string, m, n int, in InTiles, out LocalGrid
 			d.Post = b.accs.One(kernel.Access{
 				Sem: kernel.SemWrite, Mode: noc.OpStore,
 				Addr: base + uint64(t)*addrsPerTile, Home: next, Bytes: tileBytes,
-				Publish: b.tiles.One(publish),
+				Publish: kernel.Publish{Tile: publish},
 			})
 			return d
 		}
@@ -252,7 +251,7 @@ func (b *Builder) RingAllReduce(name string, m, n int, in InTiles, out LocalGrid
 		d.Post = b.accs.One(kernel.Access{
 			Sem: kernel.SemWrite, Mode: noc.OpStore,
 			Addr: base + uint64(tiles+t)*addrsPerTile, Home: next, Bytes: tileBytes,
-			PublishEach: out.Tile(mi, ni, 0),
+			Publish: kernel.Publish{Tile: out.Tile(mi, ni, 0), PerReceiver: true},
 		})
 		return d
 	})
@@ -288,13 +287,13 @@ func (b *Builder) P2PAllGather(name string, src Sharded, cols int, in InTiles, o
 			if peer == g {
 				continue
 			}
-			// Each store's sole receiver is its home peer, so PublishEach
-			// resolves to out.Tile(mi, peer) there.
+			// Each store's sole receiver is its home peer, so the
+			// per-receiver tile resolves to out.Tile(mi, peer) there.
 			d.Post[i] = kernel.Access{
 				Sem: kernel.SemWrite, Mode: noc.OpStore,
 				Addr: base + uint64(mi*b.P+peer)*uint64(addrsPerRow),
 				Home: peer, Bytes: rowBytes,
-				PublishEach: out.Tile(mi, 0),
+				Publish: kernel.Publish{Tile: out.Tile(mi, 0), PerReceiver: true},
 			}
 			i++
 		}

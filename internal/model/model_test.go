@@ -271,7 +271,7 @@ func TestCommKernelShapes(t *testing.T) {
 	if len(ownerTB.Post) != 1 || ownerTB.Post[0].Mode != noc.OpMultimemST {
 		t.Fatalf("owner AG TB = %+v", ownerTB.Post)
 	}
-	if ownerTB.Post[0].PublishEach.Buf == 0 {
+	if !ownerTB.Post[0].Publish.PerReceiver {
 		t.Fatal("multicast must publish per receiver")
 	}
 	// Non-owners do nothing.

@@ -619,8 +619,12 @@ func RunLayers(hw config.Hardware, spec Spec, cfg config.Model, training bool, l
 	return RunLayersOpts(hw, spec, cfg, training, layers, Options{})
 }
 
-// RunLayersOpts is RunLayers with experiment knobs.
+// RunLayersOpts is RunLayers with experiment knobs. A layer count below 1
+// is an error.
 func RunLayersOpts(hw config.Hardware, spec Spec, cfg config.Model, training bool, layers int, opts Options) (Result, error) {
+	if layers < 1 {
+		return Result{}, fmt.Errorf("strategy: %d layers, need >= 1", layers)
+	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}

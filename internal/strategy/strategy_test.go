@@ -155,6 +155,14 @@ func TestAllStrategiesCompleteLayerChain(t *testing.T) {
 	}
 }
 
+func TestRunLayersRejectsNonPositiveLayers(t *testing.T) {
+	for _, layers := range []int{0, -3} {
+		if _, err := RunLayers(tinyHW(), CAIS(), tinyModel(), false, layers); err == nil {
+			t.Errorf("RunLayers accepted %d layers", layers)
+		}
+	}
+}
+
 func TestAllStrategiesCompleteTraining(t *testing.T) {
 	// The mirrored backward pass exercises different lowering-state
 	// transitions (gather-first): every strategy must complete it.
