@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt lint lint-sarif race resilience-smoke parallel-smoke attrib-smoke serving-smoke bench bench-quick bench-diff profile clean
+.PHONY: all build test check vet fmt lint lint-sarif race resilience-smoke parallel-smoke attrib-smoke serving-smoke profile clean
 
 all: check
 
@@ -57,24 +57,6 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 check: fmt vet lint test race resilience-smoke attrib-smoke serving-smoke
-
-# bench: the full benchmark suite (experiment drivers, engine hot path,
-# tracer, metrics) via scripts/bench.sh, which writes a dated
-# benchstat-compatible baseline to BENCH_<date>.json.
-bench: build
-	sh scripts/bench.sh
-
-# bench-quick: engine + tracer/metrics microbenchmarks only (skips the
-# slow experiment-level benchmarks).
-bench-quick: build
-	sh scripts/bench.sh -quick
-
-# bench-diff: benchstat-style comparison of a fresh quick benchmark run
-# against the newest committed BENCH_*.json baseline; flags >10% ns/op
-# regressions and any allocs/op increase. Pass baselines explicitly with
-# `sh scripts/bench_diff.sh OLD.json NEW.json`. Non-gating in CI.
-bench-diff: build
-	sh scripts/bench_diff.sh
 
 # profile: CPU + allocation profiles of the hot path (the three workloads
 # the allocation ceilings pin) via scripts/profile.sh; pprof files land in

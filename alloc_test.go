@@ -8,8 +8,8 @@ import (
 
 // Allocation ceilings for the three benchmark workloads the pooling
 // overhauls target (see DESIGN.md §10). The PR-5 pooling pass halved the
-// original baseline (BENCH_20260806.json: Fig17 13.18M, Table2 7.44M,
-// Fig13b 4.49M allocs/op); the zero-alloc kernel-construction pass (tile
+// original baseline (Fig17 13.18M, Table2 7.44M, Fig13b 4.49M
+// allocs/op); the zero-alloc kernel-construction pass (tile
 // arenas, pooled latches and dependency records, interned tile sets, the
 // single-slot TB continuation) cut the remainder to under a tenth of the
 // original. Ceilings sit ~10% above the post-overhaul measurement

@@ -186,8 +186,7 @@ func BenchmarkTable2ScaledDown(b *testing.B) {
 
 // BenchmarkServingSweep regenerates the request-level serving study: the
 // reported metric is CAIS goodput at the fault-study rate — the headline
-// number the serving tables exist to produce. Registered in scripts/bench.sh's
-// full suite (root package), so `make bench-diff` guards its cost.
+// number the serving tables exist to produce.
 func BenchmarkServingSweep(b *testing.B) {
 	var goodput float64
 	for i := 0; i < b.N; i++ {

@@ -115,7 +115,7 @@ func TestFacadeSessionCustomPipeline(t *testing.T) {
 	b := s.Builder()
 	out := b.NewLocalGrid(256, 256)
 	k := b.GEMM("custom", 256, 256, 512, 1,
-		func(g, mi, ni int) []kernel.Tile { return nil }, out)
+		func(g, mi, ni int) kernel.Tiles { return kernel.Tiles{} }, out)
 	s.Stage(k)
 	elapsed, err := s.Run()
 	if err != nil {
@@ -138,8 +138,8 @@ func TestFacadeSessionConcurrentStages(t *testing.T) {
 	b := s.Builder()
 	o1 := b.NewLocalGrid(256, 256)
 	o2 := b.NewLocalGrid(256, 256)
-	k1 := b.GEMM("a", 256, 256, 256, 1, func(g, mi, ni int) []kernel.Tile { return nil }, o1)
-	k2 := b.GEMM("b", 256, 256, 256, 1, func(g, mi, ni int) []kernel.Tile { return nil }, o2)
+	k1 := b.GEMM("a", 256, 256, 256, 1, func(g, mi, ni int) kernel.Tiles { return kernel.Tiles{} }, o1)
+	k2 := b.GEMM("b", 256, 256, 256, 1, func(g, mi, ni int) kernel.Tiles { return kernel.Tiles{} }, o2)
 	s.Stage(k1)
 	s.Concurrent(k2)
 	if _, err := s.Run(); err != nil {

@@ -78,16 +78,11 @@ func runAllGather(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err erro
 		}
 		src := b.NewSharded(rows)
 		copies := b.NewGathered(rows)
-		var tiles []kernel.Tile
-		for mi := 0; mi < src.MTiles; mi++ {
-			tiles = append(tiles, src.Tile(mi))
-		}
-		s.PublishTiles(tiles)
-		in := func(g, mi, ni int) []kernel.Tile { return nil }
+		s.PublishTiles(kernel.Tiles{Tile: src.Tile(0), Stride: 1, N: src.MTiles})
 		if useNVLS {
-			s.Stage(b.NVLSAllGather("ag", src, cols, in, copies))
+			s.Stage(b.NVLSAllGather("ag", src, cols, model.NoInputs, copies))
 		} else {
-			s.Stage(b.RingAllGather("ag", src, cols, in, copies))
+			s.Stage(b.RingAllGather("ag", src, cols, model.NoInputs, copies))
 		}
 		if _, err := s.Run(); err != nil {
 			return 0, err
@@ -116,11 +111,10 @@ func runReduceScatter(hw cais.Hardware, bytes int64) (nvls, ring cais.Time, err 
 		}
 		red := b.NewSharded(rows)
 		parts := b.NewParts(rows, cols)
-		in := func(g, mi, ni int) []kernel.Tile { return nil }
 		if useNVLS {
-			s.Stage(b.NVLSReduceScatter("rs", rows, cols, in, red, parts))
+			s.Stage(b.NVLSReduceScatter("rs", rows, cols, model.NoInputs, red, parts))
 		} else {
-			s.Stage(b.RingReduceScatter("rs", rows, cols, in, red, parts))
+			s.Stage(b.RingReduceScatter("rs", rows, cols, model.NoInputs, red, parts))
 		}
 		if _, err := s.Run(); err != nil {
 			return 0, err
@@ -149,12 +143,11 @@ func runAllReduce(hw cais.Hardware, bytes int64, nvls bool) (cais.Time, error) {
 		rows = model.TileM
 	}
 	out := b.NewLocalGrid(rows, cols)
-	in := func(g, mi, ni int) []kernel.Tile { return nil }
 	var k *kernel.Kernel
 	if nvls {
-		k = b.NVLSAllReduce("allreduce", rows, cols, in, out)
+		k = b.NVLSAllReduce("allreduce", rows, cols, model.NoInputs, out)
 	} else {
-		k = b.RingAllReduce("allreduce", rows, cols, in, out)
+		k = b.RingAllReduce("allreduce", rows, cols, model.NoInputs, out)
 	}
 	s.Stage(k)
 	if _, err := s.Run(); err != nil {

@@ -60,8 +60,8 @@ func (s *Session) Concurrent(ks ...*kernel.Kernel) {
 	s.stages[last] = append(s.stages[last], ks...)
 }
 
-// PublishTiles seeds input tiles before the run.
-func (s *Session) PublishTiles(tiles []kernel.Tile) {
+// PublishTiles seeds a run of input tiles before the run.
+func (s *Session) PublishTiles(tiles kernel.Tiles) {
 	s.machine.PublishTiles(tiles)
 }
 

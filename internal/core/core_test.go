@@ -35,7 +35,7 @@ func TestSessionStagedPipeline(t *testing.T) {
 	red := b.NewSharded(512)
 	parts := b.NewParts(512, 512)
 	rs := b.FusedGEMMRS("rs", 512, 512, 256, 1,
-		func(g, mi, ni int) []kernel.Tile { return nil },
+		func(g, mi, ni int) kernel.Tiles { return kernel.Tiles{} },
 		model.ReduceCAIS, model.FullCoordination(), red, parts)
 	s.Stage(rs)
 	elapsed, err := s.Run()
@@ -60,18 +60,10 @@ func TestSessionPublishTilesSeedsInputs(t *testing.T) {
 	}
 	b := s.Builder()
 	in := b.NewLocalGrid(256, 256)
-	var tiles []kernel.Tile
-	for mi := 0; mi < in.MTiles; mi++ {
-		for ni := 0; ni < in.NTiles; ni++ {
-			for g := 0; g < 4; g++ {
-				tiles = append(tiles, in.Tile(mi, ni, g))
-			}
-		}
-	}
-	s.PublishTiles(tiles)
+	s.PublishTiles(kernel.Tiles{Tile: in.Tile(0, 0, 0), Stride: 1, N: in.MTiles * in.NTiles * 4})
 	out := b.NewLocalGrid(256, 256)
 	k := b.GEMM("g", 256, 256, 512, 1,
-		func(g, mi, ni int) []kernel.Tile { return []kernel.Tile{in.Tile(mi, ni, g)} }, out)
+		func(g, mi, ni int) kernel.Tiles { return kernel.One(in.Tile(mi, ni, g)) }, out)
 	s.Stage(k)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)

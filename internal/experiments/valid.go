@@ -100,12 +100,11 @@ func runAllReduce(hw config.Hardware, bytes int64, nvls bool) (sim.Time, error) 
 	}
 	partial := b.NewLocalGrid(rows, cols)
 	out := b.NewLocalGrid(rows, cols)
-	in := func(g, mi, ni int) []kernel.Tile { return nil }
 	var k *kernel.Kernel
 	if nvls {
-		k = b.NVLSAllReduce("ar.bench", rows, cols, in, out)
+		k = b.NVLSAllReduce("ar.bench", rows, cols, model.NoInputs, out)
 	} else {
-		k = b.RingAllReduce("ar.bench", rows, cols, in, out)
+		k = b.RingAllReduce("ar.bench", rows, cols, model.NoInputs, out)
 	}
 	_ = partial
 	completed := false

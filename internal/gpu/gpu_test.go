@@ -152,7 +152,7 @@ func TestIsNoop(t *testing.T) {
 	if !isNoop(kernel.TBDesc{}) {
 		t.Fatal("empty desc should be noop")
 	}
-	if !isNoop(kernel.TBDesc{In: []kernel.Tile{{Buf: 1}}, Out: []kernel.Tile{{Buf: 2}}}) {
+	if !isNoop(kernel.TBDesc{In: [2]kernel.Tiles{kernel.One(kernel.Tile{Buf: 1})}, Out: kernel.Tile{Buf: 2}}) {
 		t.Fatal("pure dependency/publish TBs are noop (no SM work)")
 	}
 	if isNoop(kernel.TBDesc{Flops: 1}) || isNoop(kernel.TBDesc{LocalBytes: 1}) {

@@ -18,9 +18,9 @@ type LaunchOpts struct {
 	// group-ID space shared with the switch's Group Sync Table.
 	GroupBase int
 	// OnTBRetire fires when TB tb retires (its posts are issued). out is
-	// the TB's Out tile list from its work descriptor, handed back so the
-	// machine layer publishes retirement tiles without re-running Work.
-	OnTBRetire func(tb int, out []kernel.Tile)
+	// the TB's Out tile from its work descriptor, handed back so the
+	// machine layer publishes it without re-running Work.
+	OnTBRetire func(tb int, out kernel.Tile)
 	// OnDone fires when every TB of the launch has retired.
 	OnDone func()
 }
@@ -41,7 +41,7 @@ type Launch struct {
 	remaining int
 	done      bool
 
-	onTBRetire func(int, []kernel.Tile)
+	onTBRetire func(int, kernel.Tile)
 	onDone     func()
 
 	// StartedAt / FinishedAt bracket the launch for reporting.
@@ -519,7 +519,7 @@ func (g *GPU) tbRetire(l *Launch, run *tbRun) {
 func (g *GPU) finishTB(l *Launch, run *tbRun) {
 	// The run's lifecycle ends here: recycle it before the retire
 	// callback and scheduling sweep so the next admitted TB can reuse it.
-	// The Out tile list rides along to the retire callback so the machine
+	// The Out tile rides along to the retire callback so the machine
 	// layer never re-runs Work for retirement publishing.
 	tb, out := run.tb, run.desc.Out
 	run.reset()

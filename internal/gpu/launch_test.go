@@ -100,7 +100,7 @@ func TestLaunchLifecycleWithLoadsComputeAndPosts(t *testing.T) {
 	eng.At(0, func() {
 		l := g.Launch(k, LaunchOpts{
 			LaunchID: 1, GroupBase: 10,
-			OnTBRetire: func(tb int, _ []kernel.Tile) { retired[tb] = true },
+			OnTBRetire: func(tb int, _ kernel.Tile) { retired[tb] = true },
 			OnDone:     func() { done = true },
 		})
 		l.MarkEligible(0)
@@ -157,7 +157,7 @@ func TestLaunchBuffersEligibilityUntilReady(t *testing.T) {
 		},
 	}
 	eng.At(0, func() {
-		l := g.Launch(k, LaunchOpts{LaunchID: 2, OnTBRetire: func(int, []kernel.Tile) { started = eng.Now() }})
+		l := g.Launch(k, LaunchOpts{LaunchID: 2, OnTBRetire: func(int, kernel.Tile) { started = eng.Now() }})
 		l.MarkEligible(0) // before readyAt: must be buffered, not lost
 	})
 	eng.Run()
@@ -184,7 +184,7 @@ func TestLaunchMultipleKernelsShareSlotsRoundRobin(t *testing.T) {
 	eng.At(0, func() {
 		for _, name := range []string{"a", "b"} {
 			name := name
-			l := g.Launch(mk(name), LaunchOpts{LaunchID: 3, OnTBRetire: func(int, []kernel.Tile) { runs[name]++ }})
+			l := g.Launch(mk(name), LaunchOpts{LaunchID: 3, OnTBRetire: func(int, kernel.Tile) { runs[name]++ }})
 			for tb := 0; tb < 8; tb++ {
 				l.MarkEligible(tb)
 			}

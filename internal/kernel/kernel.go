@@ -81,6 +81,22 @@ type Tile struct {
 	Idx int
 }
 
+// Tiles is a strided run of tiles: {Buf, Idx + i*Stride} for i in [0, N).
+// Every dependency set the workload builders emit is one or two runs (a
+// GEMM row, the peer partials of a block, an attention K/V column, a range
+// of chunk rows), so descriptors carry them by value. The zero value is
+// empty.
+type Tiles struct {
+	Tile
+	Stride, N int
+}
+
+// One is the run holding only t.
+func One(t Tile) Tiles { return Tiles{Tile: t, N: 1} }
+
+// At returns the run's i-th tile.
+func (s Tiles) At(i int) Tile { return Tile{Buf: s.Buf, Idx: s.Idx + i*s.Stride} }
+
 // Publish names the tile an access makes ready. The zero value publishes
 // nothing (buffer IDs start at 1).
 type Publish struct {
@@ -140,8 +156,8 @@ type TBDesc struct {
 	LocalBytes int64    // HBM traffic of the compute phase
 	Pre        []Access // performed before compute (loads)
 	Post       []Access // performed after compute (writes/reductions)
-	In         []Tile   // tiles that must be ready before the TB starts
-	Out        []Tile   // tiles published when the TB (and its posts) retire
+	In         [2]Tiles // tile runs that must be ready before the TB starts
+	Out        Tile     // tile published when the TB (and its posts) retire; zero Buf = none
 	Group      int      // TB-group ID (compiler-assigned); -1 = ungrouped
 
 	// GroupPeers is the number of GPUs whose TB of this group issues
@@ -164,7 +180,7 @@ type Kernel struct {
 	// deterministic: calling it again with the same arguments must yield
 	// an equivalent descriptor. It may allocate the descriptor's slices
 	// from a per-run arena (the model builders do), so callers must not
-	// retain Pre/Post/In/Out slices across a later arena rewind.
+	// retain Pre/Post slices across a later arena rewind.
 	Work func(gpu, tb int) TBDesc
 
 	// Patterns are the symbolic access patterns of the kernel body,

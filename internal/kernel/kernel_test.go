@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -136,5 +137,68 @@ func TestKindAndSemanticStrings(t *testing.T) {
 	}
 	if SemRead.String() != "read" || SemReduce.String() != "reduce" || SemWrite.String() != "write" {
 		t.Fatal("semantic names wrong")
+	}
+}
+
+// TestTilesEnumerateBuilderShapes pins that each dependency set the model
+// builders emit as a run enumerates the same tiles, in the same order, as
+// the slice the builders used to build: registration, waiter and publish
+// order all follow it. The grid is a LocalGrid's layout, tile (mi, ni, g)
+// at index (mi*nT+ni)*P + g.
+func TestTilesEnumerateBuilderShapes(t *testing.T) {
+	const buf, P, nT = 3, 4, 3
+	tile := func(mi, ni, g int) Tile { return Tile{Buf: buf, Idx: (mi*nT+ni)*P + g} }
+	// gateChunk is GPU g's row tiles of every row in chunk c of C over mT
+	// rows, as the CoCoNet/FuseLib gate collected them.
+	gateChunk := func(c, C, mT, g int) []Tile {
+		var s []Tile
+		for mi := 0; mi < mT; mi++ {
+			if min(mi*C/mT, C-1) != c {
+				continue
+			}
+			for ni := 0; ni < nT; ni++ {
+				s = append(s, tile(mi, ni, g))
+			}
+		}
+		return s
+	}
+	var row, peers, column []Tile
+	for ni := 0; ni < nT; ni++ {
+		row = append(row, tile(2, ni, 1))
+	}
+	for g := 0; g < P; g++ {
+		peers = append(peers, tile(2, 1, g))
+	}
+	const sT, batch = 4, 1
+	for mj := 0; mj < sT; mj++ {
+		column = append(column, tile(batch*sT+mj, 2, 3))
+	}
+	hop := Tile{Buf: buf + 1, Idx: 7*P + 1}
+
+	cases := []struct {
+		name string
+		old  []Tile
+		runs []Tiles
+	}{
+		{"single tile", []Tile{tile(2, 1, 3)}, []Tiles{One(tile(2, 1, 3))}},
+		{"row", row, []Tiles{{Tile: tile(2, 0, 1), Stride: P, N: nT}}},
+		{"peers", peers, []Tiles{{Tile: tile(2, 1, 0), Stride: 1, N: P}}},
+		{"attention K/V column", column, []Tiles{{Tile: tile(batch*sT, 2, 3), Stride: nT * P, N: sT}}},
+		// Chunk 0 of 4 over 5 rows holds rows 0 and 1.
+		{"gate chunk", gateChunk(0, 4, 5, 2), []Tiles{{Tile: tile(0, 0, 2), Stride: P, N: 2 * nT}}},
+		// Chunk 3 of 4 over 3 rows holds none.
+		{"empty gate chunk", gateChunk(3, 4, 3, 2), []Tiles{{Tile: tile(3, 0, 2), Stride: P, N: 0}}},
+		{"ring hop", []Tile{tile(2, 1, 1), hop}, []Tiles{One(tile(2, 1, 1)), One(hop)}},
+	}
+	for _, c := range cases {
+		var got []Tile
+		for _, run := range c.runs {
+			for i := 0; i < run.N; i++ {
+				got = append(got, run.At(i))
+			}
+		}
+		if !slices.Equal(got, c.old) {
+			t.Errorf("%s: run enumerates %v, old slice %v", c.name, got, c.old)
+		}
 	}
 }

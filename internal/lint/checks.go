@@ -21,6 +21,44 @@ func pkgOf(p *Package, x ast.Expr) *types.Package {
 	return pn.Imported()
 }
 
+// sourceKind classifies a selector for the wallclock and rand checks and
+// their transitive taint analysis.
+type sourceKind int
+
+const (
+	notSource  sourceKind = iota
+	wallSource            // time.Now/Since/Until
+	randSource            // the unseeded global math/rand source
+)
+
+// source reports whether sel reads the wall clock, uses the unseeded
+// global math/rand source, or neither.
+func source(p *Package, sel *ast.SelectorExpr) sourceKind {
+	pkg := pkgOf(p, sel.X)
+	if pkg == nil {
+		return notSource
+	}
+	switch pkg.Path() {
+	case "time":
+		switch sel.Sel.Name {
+		case "Now", "Since", "Until":
+			return wallSource
+		}
+	case "math/rand", "math/rand/v2":
+		if randAllowed[sel.Sel.Name] {
+			return notSource
+		}
+		// Types (rand.Rand, rand.Source) are legitimate in signatures.
+		if obj, ok := p.Info.Uses[sel.Sel]; ok {
+			if _, isType := obj.(*types.TypeName); isType {
+				return notSource
+			}
+		}
+		return randSource
+	}
+	return notSource
+}
+
 // checkWallclock forbids wall-clock reads in simulated code: the engine's
 // sim.Time is the only clock, so time.Now/Since/Until anywhere outside the
 // CLI and tracing layers silently breaks replayability.
@@ -29,16 +67,7 @@ func checkWallclock(p *Package, f *ast.File, rc *resolved, rep reporter) {
 		return
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkg := pkgOf(p, sel.X)
-		if pkg == nil || pkg.Path() != "time" {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "Now", "Since", "Until":
+		if sel, ok := n.(*ast.SelectorExpr); ok && source(p, sel) == wallSource {
 			rep(sel.Pos(), CheckWallclock,
 				"time.%s reads the wall clock; simulated code must use sim.Engine time (allowed only under cmd/ and internal/trace)",
 				sel.Sel.Name)
@@ -63,29 +92,11 @@ var randAllowed = map[string]bool{
 // reproducible across processes and Go versions.
 func checkRand(p *Package, f *ast.File, _ *resolved, rep reporter) {
 	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
+		if sel, ok := n.(*ast.SelectorExpr); ok && source(p, sel) == randSource {
+			rep(sel.Pos(), CheckRand,
+				"rand.%s uses the unseeded global source; use sim.RNG (sim.NewRNG or a labeled sim.NewStreamRNG stream) or a *rand.Rand seeded from the run configuration",
+				sel.Sel.Name)
 		}
-		pkg := pkgOf(p, sel.X)
-		if pkg == nil {
-			return true
-		}
-		if path := pkg.Path(); path != "math/rand" && path != "math/rand/v2" {
-			return true
-		}
-		if randAllowed[sel.Sel.Name] {
-			return true
-		}
-		// Types (rand.Rand, rand.Source) are legitimate in signatures.
-		if obj, ok := p.Info.Uses[sel.Sel]; ok {
-			if _, isType := obj.(*types.TypeName); isType {
-				return true
-			}
-		}
-		rep(sel.Pos(), CheckRand,
-			"rand.%s uses the unseeded global source; use sim.RNG (sim.NewRNG or a labeled sim.NewStreamRNG stream) or a *rand.Rand seeded from the run configuration",
-			sel.Sel.Name)
 		return true
 	})
 }

@@ -122,27 +122,13 @@ func (m *modState) taint(fn *types.Func) (*taintFacts, bool) {
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			pkg := pkgOf(p, n.X)
-			if pkg == nil {
-				return true
-			}
-			switch pkg.Path() {
-			case "time":
-				switch n.Sel.Name {
-				case "Now", "Since", "Until":
-					if facts.wall == nil && !wallSanctioned {
-						facts.wall = []string{self, "time." + n.Sel.Name}
-					}
+			switch source(p, n) {
+			case notSource:
+			case wallSource:
+				if facts.wall == nil && !wallSanctioned {
+					facts.wall = []string{self, "time." + n.Sel.Name}
 				}
-			case "math/rand", "math/rand/v2":
-				if randAllowed[n.Sel.Name] {
-					return true
-				}
-				if obj, ok := p.Info.Uses[n.Sel]; ok {
-					if _, isType := obj.(*types.TypeName); isType {
-						return true
-					}
-				}
+			case randSource:
 				if facts.rand == nil {
 					facts.rand = []string{self, "rand." + n.Sel.Name}
 				}

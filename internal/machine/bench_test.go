@@ -31,15 +31,15 @@ func BenchmarkRegisterTB(b *testing.B) {
 	var l *gpu.Launch
 	eng.At(0, func() { l = m.GPUs[0].Launch(k, gpu.LaunchOpts{LaunchID: 1}) })
 	eng.Run() // past readyAt: eligibility now admits instead of buffering
-	in := []kernel.Tile{{Buf: 1, Idx: 0}, {Buf: 1, Idx: 1}}
+	in := kernel.Tiles{Tile: kernel.Tile{Buf: 1, Idx: 0}, Stride: 1, N: 2}
 	nextTB := 0
 	cycle := func() {
-		m.registerTB(l, nextTB, in)
+		m.registerTB(l, nextTB, [2]kernel.Tiles{in})
 		nextTB++
 		m.PublishTiles(in)
 		eng.Run() // retire the admitted no-op TB, recycling its run slot
-		m.slot(in[0]).ready = false
-		m.slot(in[1]).ready = false
+		m.slot(in.At(0)).ready = false
+		m.slot(in.At(1)).ready = false
 	}
 	for i := 0; i < 64; i++ {
 		cycle() // warm the pools, waiter lists, and event heap

@@ -58,16 +58,15 @@ func (m *Machine) launchKernel(k *kernel.Kernel, wave int, onDone func()) {
 	// across runs; per-GPU relative TB order is identical across GPUs,
 	// which keeps cross-GPU group synchronization deadlock-free.
 	//
-	// Each registration descriptor is transient — registerTB copies the
-	// tiles it needs into the tracker — so the arena space every Work
-	// call allocates here is rewound immediately. Admission-time Work
-	// calls (at readyAt, strictly later) run outside any Mark window and
-	// their slices stay live for the machine's lifetime.
+	// Each registration descriptor is transient — registerTB reads only
+	// its input runs — so the access-arena space every Work call
+	// allocates here is rewound immediately. Admission-time Work calls (at
+	// readyAt, strictly later) run outside any Mark window and their
+	// slices stay live for the machine's lifetime.
 	for g := range m.GPUs {
 		for tb := 0; tb < k.Grid; tb++ {
-			tm, am := m.tiles.Mark(), m.accs.Mark()
+			am := m.accs.Mark()
 			m.registerTB(launches[g], tb, k.Work(g, tb).In)
-			m.tiles.Rewind(tm)
 			m.accs.Rewind(am)
 		}
 	}
@@ -113,20 +112,22 @@ func (m *Machine) LaunchAll(kernels []*kernel.Kernel, onDone func()) {
 	}
 }
 
-func (m *Machine) registerTB(l *gpu.Launch, tb int, in []kernel.Tile) {
+func (m *Machine) registerTB(l *gpu.Launch, tb int, in [2]kernel.Tiles) {
 	pending := 0
 	var dep *tbDep
-	for _, t := range in {
-		s := m.slot(t)
-		if s.ready {
-			continue
+	for _, run := range in {
+		for i := 0; i < run.N; i++ {
+			s := m.slot(run.At(i))
+			if s.ready {
+				continue
+			}
+			if dep == nil {
+				dep = m.deps.Get()
+				dep.launch, dep.tb = l, tb
+			}
+			pending++
+			m.addWaiter(s, dep)
 		}
-		if dep == nil {
-			dep = m.deps.Get()
-			dep.launch, dep.tb = l, tb
-		}
-		pending++
-		m.addWaiter(s, dep)
 	}
 	if pending == 0 {
 		l.MarkEligible(tb)
@@ -147,11 +148,11 @@ func (m *Machine) addWaiter(s *tileSlot, d *tbDep) {
 	s.waiters = append(s.waiters, d)
 }
 
-// PublishTiles marks tiles globally ready and wakes waiting TBs in
-// registration order.
-func (m *Machine) PublishTiles(tiles []kernel.Tile) {
-	for _, t := range tiles {
-		m.publishOne(t)
+// PublishTiles marks a run of tiles globally ready, in run order, and
+// wakes waiting TBs in registration order.
+func (m *Machine) PublishTiles(tiles kernel.Tiles) {
+	for i := 0; i < tiles.N; i++ {
+		m.publishOne(tiles.At(i))
 	}
 }
 

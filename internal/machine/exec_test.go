@@ -76,9 +76,9 @@ func TestAttachRecorderCoversAllLinks(t *testing.T) {
 func TestPublishTilesIdempotent(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
 	tl := kernel.Tile{Buf: 5, Idx: 1}
-	m.PublishTiles([]kernel.Tile{tl})
+	m.PublishTiles(kernel.One(tl))
 	n := m.PublishedTiles
-	m.PublishTiles([]kernel.Tile{tl})
+	m.PublishTiles(kernel.One(tl))
 	if m.PublishedTiles != n {
 		t.Fatal("republishing must be a no-op")
 	}

@@ -69,7 +69,6 @@ type Machine struct {
 	// Per-run allocation state for the kernel-construction and dataflow
 	// hot path (DESIGN.md §10). All of it is owned by this machine and
 	// dies with it, so nothing leaks across simulation points.
-	tiles    pool.Arena[kernel.Tile]   // TB descriptor tile slices
 	accs     pool.Arena[kernel.Access] // TB descriptor access slices
 	deps     pool.Pool[tbDep]          // tile-tracker dependency records
 	depLists [][]*tbDep                // recycled waiter backing arrays
@@ -78,9 +77,9 @@ type Machine struct {
 	latches  sim.LatchPool             // kernel/batch completion latches
 
 	// tbRetireFn is the one retire callback shared by every launch: the
-	// retiring TB's Out tiles arrive as an argument, so nothing needs to
+	// retiring TB's Out tile arrives as an argument, so nothing needs to
 	// be captured per kernel per GPU.
-	tbRetireFn func(tb int, out []kernel.Tile)
+	tbRetireFn func(tb int, out kernel.Tile)
 	// launchScratch is the reusable per-launchKernel slice of the
 	// SPMD launch handles (only live inside one launchKernel call).
 	launchScratch []*gpu.Launch
@@ -231,13 +230,11 @@ func (m *Machine) getKernelDone() *kernelDone {
 	return d
 }
 
-// TileArena exposes the per-run tile-slice arena to the workload builders:
-// kernel Work generators allocate their descriptor slices here instead of
-// the heap. Slices live until the machine dies (or, inside the machine's
-// own registration loop, until the surrounding Mark/Rewind window closes).
-func (m *Machine) TileArena() *pool.Arena[kernel.Tile] { return &m.tiles }
-
-// AccessArena is the access-slice counterpart of TileArena.
+// AccessArena exposes the per-run access-slice arena to the workload
+// builders: kernel Work generators allocate their Pre/Post slices here
+// instead of the heap. Slices live until the machine dies (or, inside the
+// machine's own registration loop, until the surrounding Mark/Rewind
+// window closes).
 func (m *Machine) AccessArena() *pool.Arena[kernel.Access] { return &m.accs }
 
 // New assembles a machine for the hardware configuration.
@@ -261,9 +258,9 @@ func New(eng *sim.Engine, hw config.Hardware, opts Options) *Machine {
 	// One retire callback for every launch of this machine's lifetime
 	// (the per-kernel-per-GPU closures it replaces were ~N_GPUs allocs
 	// per launch).
-	m.tbRetireFn = func(tb int, out []kernel.Tile) {
-		if len(out) > 0 {
-			m.PublishTiles(out)
+	m.tbRetireFn = func(tb int, out kernel.Tile) {
+		if out.Buf != 0 {
+			m.publishOne(out)
 		}
 	}
 	m.planeAlive = make([]bool, hw.NumSwitchPlanes)
@@ -467,8 +464,6 @@ func (m *Machine) registerGauges() {
 	m.reg.GaugeFunc("pool.machine.idle", func() float64 { _, _, i := machinePools(); return float64(i) })
 	// Arena health: chunks is the real heap footprint; elems keeps climbing
 	// with work done, so elems/chunk >> arenaChunk means healthy reuse.
-	m.reg.GaugeFunc("arena.tiles.chunks", func() float64 { c, _, _ := m.tiles.Stats(); return float64(c) })
-	m.reg.GaugeFunc("arena.tiles.elems", func() float64 { _, _, e := m.tiles.Stats(); return float64(e) })
 	m.reg.GaugeFunc("arena.accs.chunks", func() float64 { c, _, _ := m.accs.Stats(); return float64(c) })
 	m.reg.GaugeFunc("arena.accs.elems", func() float64 { _, _, e := m.accs.Stats(); return float64(e) })
 }

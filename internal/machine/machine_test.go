@@ -115,7 +115,7 @@ func buildAGKernel(m *Machine, rows, cols int, shardBytes int64, copyBuf int) *k
 					})
 				}
 			} else {
-				d.In = append(d.In, copyTile)
+				d.In[0] = kernel.One(copyTile)
 			}
 			return d
 		},
@@ -311,7 +311,7 @@ func TestCheckQuiescentDetectsStuckDependency(t *testing.T) {
 	m := newTestMachine(t, testHW(), Options{})
 	// Never-published tiles in two raw buffers, listed out of order. The
 	// report walks (Buf, Idx) numerically, so buf=2 precedes buf=10.
-	never := []kernel.Tile{{Buf: 10, Idx: 0}, {Buf: 2, Idx: 5}, {Buf: 2, Idx: 1}}
+	never := [2]kernel.Tiles{kernel.One(kernel.Tile{Buf: 10, Idx: 0}), {Tile: kernel.Tile{Buf: 2, Idx: 5}, Stride: -4, N: 2}}
 	k := &kernel.Kernel{
 		Name: "stuck", Grid: 1,
 		Work: func(g, tb int) kernel.TBDesc {

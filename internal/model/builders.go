@@ -12,43 +12,20 @@ import (
 
 // Builder lowers operators into kernels on a machine. It owns the tile
 // buffer and address-space allocation so kernels built for the same
-// machine never collide, plus the per-run allocation state kernel Work
-// generators draw descriptor slices from: the machine's tile/access
-// arenas and a tile-set intern cache (DESIGN.md §10).
+// machine never collide, plus the machine's access arena kernel Work
+// generators draw descriptor slices from (DESIGN.md §10).
 type Builder struct {
 	M    *machine.Machine
 	Elem int64 // element width in bytes
 	P    int   // TP degree (machine GPU count)
 
-	tiles *pool.Arena[kernel.Tile]
-	accs  *pool.Arena[kernel.Access]
-	cache *TileCache
+	accs *pool.Arena[kernel.Access]
 }
 
 // NewBuilder creates a builder for a machine.
 func NewBuilder(m *machine.Machine) *Builder {
-	return &Builder{
-		M: m, Elem: int64(m.HW.ElemBytes), P: m.HW.NumGPUs,
-		tiles: m.TileArena(), accs: m.AccessArena(), cache: &TileCache{},
-	}
+	return &Builder{M: m, Elem: int64(m.HW.ElemBytes), P: m.HW.NumGPUs, accs: m.AccessArena()}
 }
-
-// Tile1 is the arena-backed single-tile list — the replacement for the
-// []kernel.Tile{t} literals on the kernel-construction hot path.
-func (b *Builder) Tile1(t kernel.Tile) []kernel.Tile { return b.tiles.One(t) }
-
-// RowTiles is grid.RowTiles interned through the builder's cache.
-func (b *Builder) RowTiles(grid LocalGrid, mi, gpu int) []kernel.Tile {
-	return grid.RowTiles(mi, gpu, b.cache)
-}
-
-// PeerTiles is grid.PeerTiles interned through the builder's cache.
-func (b *Builder) PeerTiles(grid LocalGrid, mi, ni int) []kernel.Tile {
-	return grid.PeerTiles(mi, ni, b.cache)
-}
-
-// CacheStats reports the tile-set intern cache's size and hit count.
-func (b *Builder) CacheStats() (sets int, hits int64) { return b.cache.Stats() }
 
 // NewSharded allocates a sequence-sharded tensor handle for rows rows.
 func (b *Builder) NewSharded(rows int) Sharded {
@@ -103,10 +80,10 @@ func FullCoordination() Coordination {
 
 // InTiles wires a consumer kernel's TB inputs; implementations close over
 // the producer handles chosen by the strategy.
-type InTiles func(gpu, mi, ni int) []kernel.Tile
+type InTiles func(gpu, mi, ni int) kernel.Tiles
 
 // NoInputs is the empty dependency wiring.
-func NoInputs(gpu, mi, ni int) []kernel.Tile { return nil }
+func NoInputs(gpu, mi, ni int) kernel.Tiles { return kernel.Tiles{} }
 
 // GEMM builds a pure-local GEMM kernel (column-parallel GEMMs whose input
 // is already local, weight-gradient GEMMs, attention projections):
@@ -120,8 +97,8 @@ func (b *Builder) GEMM(name string, m, nLocal, k int, scale float64, in InTiles,
 			mi, ni := tb/nT, tb%nT
 			return kernel.TBDesc{
 				Flops: flops, LocalBytes: localBytes, Group: -1,
-				In:  in(g, mi, ni),
-				Out: b.tiles.One(out.Tile(mi, ni, g)),
+				In:  [2]kernel.Tiles{in(g, mi, ni)},
+				Out: out.Tile(mi, ni, g),
 			}
 		},
 	}
@@ -208,7 +185,7 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 			d := kernel.TBDesc{
 				Flops: flops, LocalBytes: localBytes,
 				Group: groups.GroupOf(tb), GroupPeers: peers,
-				Out: b.tiles.One(out.Tile(mi, ni, g)),
+				Out: out.Tile(mi, ni, g),
 			}
 			owner := src.Owner(mi)
 			if mode == GatherPerTB {
@@ -226,11 +203,11 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 					acc.Mode = noc.OpLoad
 				}
 				d.Pre = b.accs.One(acc)
-				d.In = b.tiles.One(src.Tile(mi))
+				d.In[0] = kernel.One(src.Tile(mi))
 				return d
 			}
 			if ni != 0 {
-				d.In = b.tiles.One(copies.Tile(mi, g))
+				d.In[0] = kernel.One(copies.Tile(mi, g))
 				return d
 			}
 			addr := uint64(pattern.Addr.Eval(kernel.Env{GPU: int64(g), BlockIdx: int64(tb)}))
@@ -246,7 +223,7 @@ func (b *Builder) FusedAGGEMM(name string, src Sharded, m, nLocal, k int, scale 
 				acc.Expected = b.P - 1
 			}
 			d.Pre = b.accs.One(acc)
-			d.In = b.tiles.One(src.Tile(mi))
+			d.In[0] = kernel.One(src.Tile(mi))
 			return d
 		},
 	}
@@ -339,7 +316,7 @@ func (b *Builder) FusedGEMMRS(name string, m, n, kLocal int, scale float64, in I
 			return kernel.TBDesc{
 				Flops: flops, LocalBytes: localBytes,
 				Group: groups.GroupOf(tb), GroupPeers: peers,
-				In:   in(g, mi, ni),
+				In:   [2]kernel.Tiles{in(g, mi, ni)},
 				Post: b.accs.One(acc),
 			}
 		},
@@ -397,7 +374,7 @@ func (b *Builder) FusedGEMMAR(name string, m, n, kLocal int, scale float64, in I
 			return kernel.TBDesc{
 				Flops: flops, LocalBytes: localBytes,
 				Group: groups.GroupOf(tb), GroupPeers: b.P,
-				In:   in(g, mi, ni),
+				In:   [2]kernel.Tiles{in(g, mi, ni)},
 				Post: b.accs.One(acc),
 			}
 		},
@@ -422,8 +399,8 @@ func (b *Builder) ShardedRowOp(name string, kind kernel.Kind, rows, cols int, in
 			}
 			return kernel.TBDesc{
 				LocalBytes: bytes, Group: -1,
-				In:  in(g, tb, 0),
-				Out: b.tiles.One(out.Tile(tb)),
+				In:  [2]kernel.Tiles{in(g, tb, 0)},
+				Out: out.Tile(tb),
 			}
 		},
 	}
@@ -439,8 +416,8 @@ func (b *Builder) ReplicatedRowOp(name string, kind kernel.Kind, rows, cols int,
 		Work: func(g, tb int) kernel.TBDesc {
 			return kernel.TBDesc{
 				LocalBytes: bytes, Group: -1,
-				In:  in(g, tb, 0),
-				Out: b.tiles.One(out.Tile(tb, g)),
+				In:  [2]kernel.Tiles{in(g, tb, 0)},
+				Out: out.Tile(tb, g),
 			}
 		},
 	}
@@ -459,8 +436,8 @@ func (b *Builder) LocalRowOp(name string, rows, colsLocal int, in InTiles, out L
 			mi, ni := tb/nT, tb%nT
 			return kernel.TBDesc{
 				LocalBytes: bytes, Group: -1,
-				In:  in(g, mi, ni),
-				Out: b.tiles.One(out.Tile(mi, ni, g)),
+				In:  [2]kernel.Tiles{in(g, mi, ni)},
+				Out: out.Tile(mi, ni, g),
 			}
 		},
 	}
@@ -486,21 +463,11 @@ func (b *Builder) Attention(name string, batch, headsLocal, seq, headDim int, sc
 			ni := h % qkv.NTiles
 			// The query block depends on its own QKV rows plus the full
 			// K/V column of its head (token rows of this batch element).
-			// The column set is shared by every query block of the same
-			// (batch, head, gpu), so it interns in the builder's cache.
-			key := tileSetKey{kind: setAttn, buf: qkv.Buf, a: bIdx*qkv.NTiles + ni, b: g}
-			in, ok := b.cache.lookup(key)
-			if !ok {
-				in = make([]kernel.Tile, 0, sT)
-				for mj := 0; mj < sT; mj++ {
-					in = append(in, qkv.Tile(bIdx*sT+mj, ni, g))
-				}
-				in = b.cache.store(key, in)
-			}
+			in := kernel.Tiles{Tile: qkv.Tile(bIdx*sT, ni, g), Stride: qkv.NTiles * qkv.P, N: sT}
 			return kernel.TBDesc{
 				Flops: flopsPerTB, LocalBytes: bytesPerTB, Group: -1,
-				In:  in,
-				Out: b.tiles.One(out.Tile(bIdx*sT+mi, h%out.NTiles, g)),
+				In:  [2]kernel.Tiles{in},
+				Out: out.Tile(bIdx*sT+mi, h%out.NTiles, g),
 			}
 		},
 	}

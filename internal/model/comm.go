@@ -35,8 +35,8 @@ func (b *Builder) NVLSAllGather(name string, src Sharded, cols int, in InTiles, 
 	base := b.M.AllocAddrs(mT * b.M.AddrsFor(rowBytes))
 	addrsPerRow := uint64(b.M.AddrsFor(rowBytes))
 	if b.P == 1 {
-		return b.localCopyKernel(name, mT, in, func(mi, g int) []kernel.Tile {
-			return b.tiles.One(out.Tile(mi, g))
+		return b.localCopyKernel(name, mT, in, func(mi, g int) kernel.Tile {
+			return out.Tile(mi, g)
 		})
 	}
 	return b.commKernel(name, mT, func(g, tb int) kernel.TBDesc {
@@ -46,9 +46,9 @@ func (b *Builder) NVLSAllGather(name string, src Sharded, cols int, in InTiles, 
 		mi := tb
 		return kernel.TBDesc{
 			Group: -1,
-			In:    in(g, mi, 0),
+			In:    [2]kernel.Tiles{in(g, mi, 0)},
 			// The owner's own copy is already local.
-			Out: b.tiles.One(out.Tile(mi, g)),
+			Out: out.Tile(mi, g),
 			Post: b.accs.One(kernel.Access{
 				Sem: kernel.SemWrite, Mode: noc.OpMultimemST,
 				Addr: base + uint64(mi)*addrsPerRow, Home: g, Bytes: rowBytes,
@@ -68,8 +68,8 @@ func (b *Builder) NVLSReduceScatter(name string, m, n int, in InTiles, red Shard
 	base := b.M.AllocAddrs(mT * nT * b.M.AddrsFor(tileBytes))
 	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
 	if b.P == 1 {
-		return b.localCopyKernel(name, mT*nT, in2(in, nT), func(tb, g int) []kernel.Tile {
-			return b.tiles.One(parts.Tile(tb/nT, tb%nT, 0))
+		return b.localCopyKernel(name, mT*nT, in2(in, nT), func(tb, g int) kernel.Tile {
+			return parts.Tile(tb/nT, tb%nT, 0)
 		})
 	}
 	return b.commKernel(name, mT*nT, func(g, tb int) kernel.TBDesc {
@@ -79,7 +79,7 @@ func (b *Builder) NVLSReduceScatter(name string, m, n int, in InTiles, red Shard
 		}
 		return kernel.TBDesc{
 			Group: -1,
-			In:    in(g, mi, ni),
+			In:    [2]kernel.Tiles{in(g, mi, ni)},
 			Pre: b.accs.One(kernel.Access{
 				Sem: kernel.SemRead, Mode: noc.OpMultimemLdReduce,
 				Addr: base + uint64(tb)*addrsPerTile, Home: g, Bytes: tileBytes,
@@ -99,15 +99,15 @@ func (b *Builder) NVLSAllReduce(name string, m, n int, in InTiles, out LocalGrid
 	base := b.M.AllocAddrs(mT * nT * b.M.AddrsFor(tileBytes))
 	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
 	if b.P == 1 {
-		return b.localCopyKernel(name, mT*nT, in2(in, nT), func(tb, g int) []kernel.Tile {
-			return b.tiles.One(out.Tile(tb/nT, tb%nT, g))
+		return b.localCopyKernel(name, mT*nT, in2(in, nT), func(tb, g int) kernel.Tile {
+			return out.Tile(tb/nT, tb%nT, g)
 		})
 	}
 	return b.commKernel(name, mT*nT, func(g, tb int) kernel.TBDesc {
 		mi, ni := tb/nT, tb%nT
 		return kernel.TBDesc{
 			Group: -1,
-			In:    in(g, mi, ni),
+			In:    [2]kernel.Tiles{in(g, mi, ni)},
 			Post: b.accs.One(kernel.Access{
 				Sem: kernel.SemReduce, Mode: noc.OpMultimemRed,
 				Addr: base + uint64(tb)*addrsPerTile, Home: -1, Bytes: tileBytes,
@@ -129,8 +129,8 @@ func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, red Shard
 	base := b.M.AllocAddrs(mT * nT * b.M.AddrsFor(tileBytes))
 	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
 	if b.P == 1 {
-		return b.localCopyKernel(name, mT*nT, in2(in, nT), func(tb, g int) []kernel.Tile {
-			return b.tiles.One(parts.Tile(tb/nT, tb%nT, 0))
+		return b.localCopyKernel(name, mT*nT, in2(in, nT), func(tb, g int) kernel.Tile {
+			return parts.Tile(tb/nT, tb%nT, 0)
 		})
 	}
 	return b.commKernel(name, mT*nT, func(g, tb int) kernel.TBDesc {
@@ -139,13 +139,13 @@ func (b *Builder) RingReduceScatter(name string, m, n int, in InTiles, red Shard
 		if g == owner {
 			// The owner only contributes its local partial; the final
 			// arriving hop publishes the reduced block.
-			return kernel.TBDesc{Group: -1, In: in(g, mi, ni)}
+			return kernel.TBDesc{Group: -1, In: [2]kernel.Tiles{in(g, mi, ni)}}
 		}
 		next := (g + 1) % b.P
-		d := kernel.TBDesc{Group: -1, In: in(g, mi, ni)}
+		d := kernel.TBDesc{Group: -1, In: [2]kernel.Tiles{in(g, mi, ni)}}
 		if g != (owner+1)%b.P {
 			// Wait for the accumulated partial from the predecessor.
-			d.In = b.tiles.With(d.In, hopTile(tb, g))
+			d.In[1] = kernel.One(hopTile(tb, g))
 		}
 		// The hop's only receiver is next, so the tile is fixed.
 		publish := hopTile(tb, next)
@@ -169,8 +169,8 @@ func (b *Builder) RingAllGather(name string, src Sharded, cols int, in InTiles, 
 	base := b.M.AllocAddrs(mT * b.M.AddrsFor(rowBytes))
 	addrsPerRow := uint64(b.M.AddrsFor(rowBytes))
 	if b.P == 1 {
-		return b.localCopyKernel(name, mT, in, func(mi, g int) []kernel.Tile {
-			return b.tiles.One(out.Tile(mi, g))
+		return b.localCopyKernel(name, mT, in, func(mi, g int) kernel.Tile {
+			return out.Tile(mi, g)
 		})
 	}
 	return b.commKernel(name, mT, func(g, tb int) kernel.TBDesc {
@@ -179,11 +179,11 @@ func (b *Builder) RingAllGather(name string, src Sharded, cols int, in InTiles, 
 		next := (g + 1) % b.P
 		d := kernel.TBDesc{Group: -1}
 		if g == owner {
-			d.In = in(g, mi, 0)
-			d.Out = b.tiles.One(out.Tile(mi, g))
+			d.In[0] = in(g, mi, 0)
+			d.Out = out.Tile(mi, g)
 		} else {
 			// Forward after this GPU's copy arrived.
-			d.In = b.tiles.One(out.Tile(mi, g))
+			d.In[0] = kernel.One(out.Tile(mi, g))
 		}
 		if next == owner {
 			// The block has completed its P-1 hops.
@@ -211,8 +211,8 @@ func (b *Builder) RingAllReduce(name string, m, n int, in InTiles, out LocalGrid
 	base := b.M.AllocAddrs(2 * tiles * b.M.AddrsFor(tileBytes))
 	addrsPerTile := uint64(b.M.AddrsFor(tileBytes))
 	if b.P == 1 {
-		return b.localCopyKernel(name, tiles, in2(in, nT), func(tb, g int) []kernel.Tile {
-			return b.tiles.One(out.Tile(tb/nT, tb%nT, g))
+		return b.localCopyKernel(name, tiles, in2(in, nT), func(tb, g int) kernel.Tile {
+			return out.Tile(tb/nT, tb%nT, g)
 		})
 	}
 	// The reduce chain of tile t ends at its ring owner o(t) = t % P; the
@@ -226,11 +226,11 @@ func (b *Builder) RingAllReduce(name string, m, n int, in InTiles, out LocalGrid
 		if phase == 0 {
 			// Reduce-forward phase.
 			if g == o {
-				return kernel.TBDesc{Group: -1, In: in(g, mi, ni)}
+				return kernel.TBDesc{Group: -1, In: [2]kernel.Tiles{in(g, mi, ni)}}
 			}
-			d := kernel.TBDesc{Group: -1, In: in(g, mi, ni)}
+			d := kernel.TBDesc{Group: -1, In: [2]kernel.Tiles{in(g, mi, ni)}}
 			if g != (o+1)%b.P {
-				d.In = b.tiles.With(d.In, hopTile(t, g))
+				d.In[1] = kernel.One(hopTile(t, g))
 			}
 			publish := hopTile(t, next)
 			if next == o {
@@ -244,7 +244,7 @@ func (b *Builder) RingAllReduce(name string, m, n int, in InTiles, out LocalGrid
 			return d
 		}
 		// Gather-forward phase: forward the reduced copy once it arrives.
-		d := kernel.TBDesc{Group: -1, In: b.tiles.One(out.Tile(mi, ni, g))}
+		d := kernel.TBDesc{Group: -1, In: [2]kernel.Tiles{kernel.One(out.Tile(mi, ni, g))}}
 		if next == o {
 			return d
 		}
@@ -267,8 +267,8 @@ func (b *Builder) P2PAllGather(name string, src Sharded, cols int, in InTiles, o
 	addrsPerRow := b.M.AddrsFor(rowBytes)
 	base := b.M.AllocAddrs(mT * b.P * addrsPerRow)
 	if b.P == 1 {
-		return b.localCopyKernel(name, mT, in, func(mi, g int) []kernel.Tile {
-			return b.tiles.One(out.Tile(mi, g))
+		return b.localCopyKernel(name, mT, in, func(mi, g int) kernel.Tile {
+			return out.Tile(mi, g)
 		})
 	}
 	return b.commKernel(name, mT, func(g, tb int) kernel.TBDesc {
@@ -278,8 +278,8 @@ func (b *Builder) P2PAllGather(name string, src Sharded, cols int, in InTiles, o
 		}
 		d := kernel.TBDesc{
 			Group: -1,
-			In:    in(g, mi, 0),
-			Out:   b.tiles.One(out.Tile(mi, g)),
+			In:    [2]kernel.Tiles{in(g, mi, 0)},
+			Out:   out.Tile(mi, g),
 			Post:  b.accs.Make(b.P - 1),
 		}
 		i := 0
@@ -304,7 +304,7 @@ func (b *Builder) P2PAllGather(name string, src Sharded, cols int, in InTiles, o
 // GateKernel builds a zero-work kernel whose TB c publishes gate tile
 // (gateBuf, c*P+g) on GPU g once in(g, c) is satisfied — the chunk-level
 // barrier of the software-pipelined overlap baselines (CoCoNet, FuseLib).
-func (b *Builder) GateKernel(name string, chunks int, in func(g, c int) []kernel.Tile) (*kernel.Kernel, func(c, g int) kernel.Tile) {
+func (b *Builder) GateKernel(name string, chunks int, in func(g, c int) kernel.Tiles) (*kernel.Kernel, func(c, g int) kernel.Tile) {
 	buf := b.M.NewBuffer()
 	gate := func(c, g int) kernel.Tile { return kernel.Tile{Buf: buf, Idx: c*b.P + g} }
 	k := &kernel.Kernel{
@@ -313,8 +313,8 @@ func (b *Builder) GateKernel(name string, chunks int, in func(g, c int) []kernel
 		Work: func(g, tb int) kernel.TBDesc {
 			return kernel.TBDesc{
 				Group: -1,
-				In:    in(g, tb),
-				Out:   b.tiles.One(gate(tb, g)),
+				In:    [2]kernel.Tiles{in(g, tb)},
+				Out:   gate(tb, g),
 			}
 		},
 	}
@@ -323,11 +323,11 @@ func (b *Builder) GateKernel(name string, chunks int, in func(g, c int) []kernel
 
 // localCopyKernel degenerates a collective for the single-GPU case: each
 // TB republishes its tiles locally at HBM cost.
-func (b *Builder) localCopyKernel(name string, grid int, in InTiles, out func(tb, g int) []kernel.Tile) *kernel.Kernel {
+func (b *Builder) localCopyKernel(name string, grid int, in InTiles, out func(tb, g int) kernel.Tile) *kernel.Kernel {
 	return b.commKernel(name, grid, func(g, tb int) kernel.TBDesc {
 		return kernel.TBDesc{
 			Group: -1,
-			In:    in(g, tb, 0),
+			In:    [2]kernel.Tiles{in(g, tb, 0)},
 			Out:   out(tb, g),
 		}
 	})
@@ -335,7 +335,7 @@ func (b *Builder) localCopyKernel(name string, grid int, in InTiles, out func(tb
 
 // in2 adapts an (mi, ni) wiring to a flat tb index.
 func in2(in InTiles, nT int) InTiles {
-	return func(g, tb, _ int) []kernel.Tile {
+	return func(g, tb, _ int) kernel.Tiles {
 		return in(g, tb/nT, tb%nT)
 	}
 }

@@ -49,8 +49,19 @@ func TestTileHelpers(t *testing.T) {
 			}
 		}
 	}
-	if len(l.RowTiles(2, 1, nil)) != 3 {
-		t.Fatal("RowTiles must span NTiles")
+	row, peers := l.RowTiles(2, 1), l.PeerTiles(2, 1)
+	if row.N != 3 || peers.N != 4 {
+		t.Fatal("RowTiles must span NTiles, PeerTiles the GPUs")
+	}
+	for ni := 0; ni < row.N; ni++ {
+		if row.At(ni) != l.Tile(2, ni, 1) {
+			t.Fatalf("RowTiles tile %d = %v, want %v", ni, row.At(ni), l.Tile(2, ni, 1))
+		}
+	}
+	for g := 0; g < peers.N; g++ {
+		if peers.At(g) != l.Tile(2, 1, g) {
+			t.Fatalf("PeerTiles tile %d = %v, want %v", g, peers.At(g), l.Tile(2, 1, g))
+		}
 	}
 }
 
@@ -155,7 +166,7 @@ func TestGEMMBuilderGrid(t *testing.T) {
 	if d.Flops != 2*128*128*1024 {
 		t.Fatalf("flops = %v", d.Flops)
 	}
-	if len(d.Out) != 1 {
+	if d.Out != out.Tile(0, 0, 0) {
 		t.Fatal("GEMM TB must publish its tile")
 	}
 }
@@ -190,7 +201,7 @@ func TestFusedAGGEMMLoaderStructure(t *testing.T) {
 		t.Fatal("owner's loader must read locally")
 	}
 	compute := k.Work(1, 1) // ni=1
-	if len(compute.Pre) != 0 || len(compute.In) != 1 {
+	if len(compute.Pre) != 0 || compute.In[0].N != 1 || compute.In[1].N != 0 {
 		t.Fatalf("compute TB = %+v", compute)
 	}
 	// The compiler verdict is encoded in the kernel's pattern.
@@ -260,7 +271,7 @@ func TestCommKernelShapes(t *testing.T) {
 	b := testBuilder(t)
 	src := b.NewSharded(512)
 	copies := b.NewGathered(512)
-	in := func(g, mi, ni int) []kernel.Tile { return nil }
+	in := func(g, mi, ni int) kernel.Tiles { return kernel.Tiles{} }
 
 	ag := b.NVLSAllGather("ag", src, 1024, in, copies)
 	if ag.Kind != kernel.KindComm || ag.CommSMs != b.M.HW.CommSMs {
@@ -303,7 +314,7 @@ func TestRingKernelsHopStructure(t *testing.T) {
 	b := testBuilder(t)
 	src := b.NewSharded(512)
 	copies := b.NewGathered(512)
-	in := func(g, mi, ni int) []kernel.Tile { return nil }
+	in := func(g, mi, ni int) kernel.Tiles { return kernel.Tiles{} }
 	ag := b.RingAllGather("ring-ag", src, 1024, in, copies)
 	// Owner forwards its block to the next GPU; the GPU before the owner
 	// does not forward (the ring ends there).
@@ -326,14 +337,14 @@ func TestRingKernelsHopStructure(t *testing.T) {
 
 func TestGateKernel(t *testing.T) {
 	b := testBuilder(t)
-	k, gate := b.GateKernel("gate", 4, func(g, c int) []kernel.Tile {
-		return []kernel.Tile{{Buf: 1, Idx: c}}
+	k, gate := b.GateKernel("gate", 4, func(g, c int) kernel.Tiles {
+		return kernel.One(kernel.Tile{Buf: 1, Idx: c})
 	})
 	if k.Grid != 4 {
 		t.Fatalf("grid = %d", k.Grid)
 	}
 	d := k.Work(2, 3)
-	if len(d.In) != 1 || len(d.Out) != 1 || d.Out[0] != gate(3, 2) {
+	if d.In[0] != kernel.One(kernel.Tile{Buf: 1, Idx: 3}) || d.In[1].N != 0 || d.Out != gate(3, 2) {
 		t.Fatalf("gate TB = %+v", d)
 	}
 }
@@ -361,7 +372,7 @@ func TestCollectivesDegenerateAtP1(t *testing.T) {
 	// With one GPU every collective becomes a local republish: no remote
 	// accesses at all.
 	b := singleGPUBuilder(t)
-	in := func(g, mi, ni int) []kernel.Tile { return nil }
+	in := func(g, mi, ni int) kernel.Tiles { return kernel.Tiles{} }
 	src := b.NewSharded(256)
 	copies := b.NewGathered(256)
 	parts := b.NewParts(256, 256)
@@ -393,15 +404,15 @@ func TestAttentionWorkStructure(t *testing.T) {
 		t.Fatalf("grid = %d, want %d", k.Grid, 2*2*sT)
 	}
 	d := k.Work(0, 0)
-	if len(d.In) != sT {
-		t.Fatalf("attention TB deps = %d, want the full K/V column (%d)", len(d.In), sT)
+	if d.In[0].N != sT || d.In[1].N != 0 {
+		t.Fatalf("attention TB deps = %+v, want the full K/V column (%d)", d.In, sT)
 	}
 	if d.Flops != 4*128*256*128*2 {
 		t.Fatalf("attention flops = %v", d.Flops)
 	}
 	// Batch 1's TBs read batch 1's token rows.
 	d2 := k.Work(0, 2*sT) // first TB of batch 1
-	if d2.In[0] == d.In[0] {
+	if d2.In[0].At(0) == d.In[0].At(0) {
 		t.Fatal("batches must depend on distinct token rows")
 	}
 }

@@ -56,88 +56,13 @@ func (l LocalGrid) Tile(mi, ni, gpu int) kernel.Tile {
 	return kernel.Tile{Buf: l.Buf, Idx: (mi*l.NTiles+ni)*l.P + gpu}
 }
 
-// RowTiles lists all of GPU g's tiles in row mi. With a non-nil cache the
-// slice is interned: every kernel iteration asking for the same row set
-// shares one immutable backing array instead of allocating a fresh one
-// (kernel Work generators re-request identical sets millions of times per
-// sweep point). A nil cache allocates fresh, for callers outside a run.
-func (l LocalGrid) RowTiles(mi, gpu int, c *TileCache) []kernel.Tile {
-	key := tileSetKey{kind: setRow, buf: l.Buf, a: mi, b: gpu}
-	if s, ok := c.lookup(key); ok {
-		return s
-	}
-	out := make([]kernel.Tile, 0, l.NTiles)
-	for ni := 0; ni < l.NTiles; ni++ {
-		out = append(out, l.Tile(mi, ni, gpu))
-	}
-	return c.store(key, out)
+// RowTiles is GPU g's tiles of row mi, in column order.
+func (l LocalGrid) RowTiles(mi, gpu int) kernel.Tiles {
+	return kernel.Tiles{Tile: l.Tile(mi, 0, gpu), Stride: l.P, N: l.NTiles}
 }
 
-// PeerTiles lists block (mi, ni) across every GPU of the grid, interned
-// like RowTiles (the pull-mode ReduceScatter gates on all P partials).
-func (l LocalGrid) PeerTiles(mi, ni int, c *TileCache) []kernel.Tile {
-	key := tileSetKey{kind: setPeers, buf: l.Buf, a: mi, b: ni}
-	if s, ok := c.lookup(key); ok {
-		return s
-	}
-	out := make([]kernel.Tile, 0, l.P)
-	for g := 0; g < l.P; g++ {
-		out = append(out, l.Tile(mi, ni, g))
-	}
-	return c.store(key, out)
-}
-
-// tileSetKey identifies one deterministic tile set. Buffer IDs are unique
-// per machine, so (kind, buf, a, b) can never alias across handles.
-type tileSetKey struct {
-	kind uint8
-	buf  int
-	a, b int
-}
-
-// Tile-set kinds (tileSetKey.kind).
-const (
-	setRow uint8 = iota // LocalGrid.RowTiles: a=mi, b=gpu
-	setPeers
-	setAttn // attention K/V column: a=batch*NTiles+head column, b=gpu
-)
-
-// TileCache interns the deterministic tile sets kernel Work generators
-// request repeatedly (GEMM input rows, attention K/V columns). Interned
-// slices are immutable and deliberately heap-allocated — never
-// arena-backed — so a machine-layer arena rewind can't corrupt them; the
-// cache is owned by the Builder and dies with the run.
-type TileCache struct {
-	sets map[tileSetKey][]kernel.Tile
-	hits int64
-}
-
-func (c *TileCache) lookup(k tileSetKey) ([]kernel.Tile, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s, ok := c.sets[k]
-	if ok {
-		c.hits++
-	}
-	return s, ok
-}
-
-func (c *TileCache) store(k tileSetKey, s []kernel.Tile) []kernel.Tile {
-	if c == nil {
-		return s
-	}
-	if c.sets == nil {
-		c.sets = make(map[tileSetKey][]kernel.Tile)
-	}
-	c.sets[k] = s
-	return s
-}
-
-// Stats reports interned set count and lookup hits.
-func (c *TileCache) Stats() (sets int, hits int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return len(c.sets), c.hits
+// PeerTiles is block (mi, ni) on every GPU of the grid, in GPU order (the
+// pull-mode ReduceScatter gates on all P partials).
+func (l LocalGrid) PeerTiles(mi, ni int) kernel.Tiles {
+	return kernel.Tiles{Tile: l.Tile(mi, ni, 0), Stride: 1, N: l.P}
 }

@@ -1,12 +1,12 @@
 package pool
 
 // Arena is a chunked bump allocator for small slices with run lifetime.
-// The kernel-construction hot path (model builders, strategy wirings)
-// produces millions of tiny []kernel.Tile and []kernel.Access slices per
-// simulation point; allocating each from the heap dominated the post-PR-5
-// allocation profile. An Arena hands out sub-slices of large chunks
-// instead: steady state costs one heap allocation per arenaChunk elements
-// rather than one per slice.
+// The kernel-construction hot path (the model builders) produces millions
+// of tiny []kernel.Access slices per simulation point, and allocating
+// each from the heap dominated the allocation profile once packets were
+// pooled. An Arena hands out sub-slices of large chunks instead: steady
+// state costs one heap allocation per arenaChunk elements rather than one
+// per slice.
 //
 // Like Pool, an Arena is owned by the per-run assembly (machine.New) and
 // dies with it — slices returned by Make stay valid for the owning
@@ -16,8 +16,8 @@ package pool
 //
 // Mark/Rewind give callers with a transient allocation pattern (the
 // machine's TB-registration loop, which discards each Work descriptor
-// after copying its input tiles into the tile tracker) a way to reclaim
-// arena space: take a Mark, allocate freely, Rewind when every slice
+// after registering its input tiles with the tile tracker) a way to
+// reclaim arena space: take a Mark, allocate freely, Rewind when every slice
 // allocated since the mark is dead. Rewinding while such a slice is still
 // referenced is a use-after-free-style bug — the memory will be handed
 // out again.
@@ -78,15 +78,6 @@ func (a *Arena[T]) One(v T) []T {
 	s := a.Make(1)
 	s[0] = v
 	return s
-}
-
-// With returns a fresh arena slice holding s's elements followed by
-// extra. s is never mutated (its backing array may be shared or interned).
-func (a *Arena[T]) With(s []T, extra T) []T {
-	d := a.Make(len(s) + 1)
-	copy(d, s)
-	d[len(s)] = extra
-	return d
 }
 
 // Mark records the current allocation position.

@@ -25,21 +25,11 @@ func TestArenaMakeZeroedAndCapped(t *testing.T) {
 	}
 }
 
-func TestArenaOneAndWith(t *testing.T) {
+func TestArenaOne(t *testing.T) {
 	var a Arena[int]
 	s := a.One(7)
 	if len(s) != 1 || s[0] != 7 {
 		t.Fatalf("One(7) = %v", s)
-	}
-	w := a.With(s, 8)
-	if len(w) != 2 || w[0] != 7 || w[1] != 8 {
-		t.Fatalf("With = %v", w)
-	}
-	if s[0] != 7 {
-		t.Fatal("With mutated its input")
-	}
-	if w2 := a.With(nil, 5); len(w2) != 1 || w2[0] != 5 {
-		t.Fatalf("With(nil, 5) = %v", w2)
 	}
 }
 

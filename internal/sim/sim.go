@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Time is simulated time in picoseconds. Picoseconds keep bandwidth
@@ -26,6 +27,11 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 )
+
+// MaxTime is the latest representable simulated time. Float conversions
+// beyond the int64 range saturate to it (or to -MaxTime), and Engine.After
+// saturates at it, so time arithmetic never wraps.
+const MaxTime Time = math.MaxInt64
 
 // String renders a Time in the most readable unit.
 func (t Time) String() string {
@@ -64,8 +70,7 @@ func DurationForBytes(size int64, bytesPerSecond float64) Time {
 	if size <= 0 || bytesPerSecond <= 0 {
 		return 0
 	}
-	ps := float64(size) / bytesPerSecond * float64(Second)
-	d := Time(ps)
+	d := fromFloat(float64(size)/bytesPerSecond*float64(Second), "DurationForBytes")
 	if d < 1 {
 		d = 1
 	}
@@ -80,18 +85,34 @@ func DurationForFlops(flops, flopsPerSecond float64) Time {
 	if flops <= 0 || flopsPerSecond <= 0 {
 		return 0
 	}
-	return Time(flops / flopsPerSecond * float64(Second))
+	return fromFloat(flops/flopsPerSecond*float64(Second), "DurationForFlops")
 }
 
 // Scale stretches a duration by a dimensionless factor (jitter, slowdown,
 // overlap ratios), truncating the sub-picosecond remainder.
 func Scale(d Time, factor float64) Time {
-	return Time(float64(d) * factor)
+	return fromFloat(float64(d)*factor, "Scale")
 }
 
 // FromPicoseconds converts a float picosecond count (e.g. a metrics gauge
 // value) back into a Time, truncating toward zero.
 func FromPicoseconds(ps float64) Time {
+	return fromFloat(ps, "FromPicoseconds")
+}
+
+// fromFloat converts a float picosecond count to a Time, truncating
+// toward zero. Values outside the int64 range, ±Inf included, saturate to
+// ±MaxTime; NaN can only come from a bug upstream, so it panics naming
+// the caller.
+func fromFloat(ps float64, caller string) Time {
+	switch {
+	case math.IsNaN(ps):
+		panic(fmt.Sprintf("sim.%s: NaN time", caller))
+	case ps >= float64(MaxTime): // float64(MaxTime) rounds up to 2^63
+		return MaxTime
+	case ps <= -float64(MaxTime):
+		return -MaxTime
+	}
 	return Time(ps)
 }
 
@@ -270,10 +291,13 @@ func (e *Engine) At(t Time, fn func()) {
 }
 
 // After schedules fn to run d after the current time. Negative delays clamp
-// to zero.
+// to zero, and a delay past MaxTime saturates at MaxTime.
 func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
+	}
+	if d > MaxTime-e.now {
+		d = MaxTime - e.now
 	}
 	e.At(e.now+d, fn)
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -137,6 +139,60 @@ func TestDurationForBytes(t *testing.T) {
 	}
 	if DurationForBytes(1, 1e15) < 1 {
 		t.Fatal("nonzero transfer must take at least 1ps")
+	}
+}
+
+// TestFloatTimeSaturates pins the float-to-Time conversions: out-of-range
+// values and ±Inf saturate to ±MaxTime instead of wrapping, in-range values
+// truncate as before, and NaN panics naming the caller.
+func TestFloatTimeSaturates(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name string
+		got  func() Time
+		want Time // ignored when panic is set
+		// panic, when set, is a substring the NaN panic must contain.
+		panic string
+	}{
+		{"in range", func() Time { return Scale(Second, 1.5) }, 1500 * Millisecond, ""},
+		{"Scale 1e30", func() Time { return Scale(Second, 1e30) }, MaxTime, ""},
+		{"Scale -1e30", func() Time { return Scale(Second, -1e30) }, -MaxTime, ""},
+		{"DurationForBytes 1TiB at 1e-20 B/s", func() Time { return DurationForBytes(1<<40, 1e-20) }, MaxTime, ""},
+		{"DurationForFlops +Inf", func() Time { return DurationForFlops(inf, 1) }, MaxTime, ""},
+		{"Scale +Inf", func() Time { return Scale(Second, inf) }, MaxTime, ""},
+		{"FromPicoseconds -Inf", func() Time { return FromPicoseconds(-inf) }, -MaxTime, ""},
+		{"Scale NaN", func() Time { return Scale(Second, nan) }, 0, "sim.Scale"},
+		{"DurationForBytes NaN", func() Time { return DurationForBytes(1, nan) }, 0, "sim.DurationForBytes"},
+		{"FromPicoseconds NaN", func() Time { return FromPicoseconds(nan) }, 0, "sim.FromPicoseconds"},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				r := recover()
+				if c.panic == "" {
+					if r != nil {
+						t.Errorf("%s: unexpected panic %v", c.name, r)
+					}
+					return
+				}
+				if msg, _ := r.(string); !strings.Contains(msg, c.panic) {
+					t.Errorf("%s: panic %v, want one naming %s", c.name, r, c.panic)
+				}
+			}()
+			if got := c.got(); got != c.want {
+				t.Errorf("%s: got %d, want %d", c.name, int64(got), int64(c.want))
+			}
+		}()
+	}
+
+	// After(MaxTime) at now > 0 saturates at MaxTime instead of wrapping
+	// into the past.
+	e := NewEngine()
+	var at Time
+	e.At(Microsecond, func() { e.After(MaxTime, func() { at = e.Now() }) })
+	e.Run()
+	if at != MaxTime {
+		t.Fatalf("After(MaxTime) at now=1us fired at %d, want MaxTime", int64(at))
 	}
 }
 

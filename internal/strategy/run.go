@@ -194,7 +194,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		local := st.local
 		out := b.NewLocalGrid(op.Rows, local.NTiles*model.TileN)
 		k := b.LocalRowOp(op.Name, op.Rows, local.NTiles*model.TileN,
-			func(g, mi, ni int) []kernel.Tile { return b.Tile1(local.Tile(mi, ni, g)) }, out)
+			func(g, mi, ni int) kernel.Tiles { return kernel.One(local.Tile(mi, ni, g)) }, out)
 		p.add(spec.Barrier, k)
 		*st = actState{kind: stateLocal, local: out}
 
@@ -203,7 +203,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		parts := st.parts
 		out := b.NewSharded(op.Rows)
 		k := b.ShardedRowOp(op.Name, kind, op.Rows, op.Cols,
-			func(g, mi, _ int) []kernel.Tile { return b.RowTiles(parts, mi, 0) }, out)
+			func(g, mi, _ int) kernel.Tiles { return parts.RowTiles(mi, 0) }, out)
 		p.add(spec.Barrier, k)
 		*st = actState{kind: stateSharded, sharded: out}
 
@@ -211,7 +211,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		src := st.sharded
 		out := b.NewSharded(op.Rows)
 		k := b.ShardedRowOp(op.Name, kind, op.Rows, op.Cols,
-			func(g, mi, _ int) []kernel.Tile { return b.Tile1(src.Tile(mi)) }, out)
+			func(g, mi, _ int) kernel.Tiles { return kernel.One(src.Tile(mi)) }, out)
 		p.add(spec.Barrier, k)
 		*st = actState{kind: stateSharded, sharded: out}
 
@@ -219,7 +219,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		src := st.gathered
 		out := b.NewGathered(op.Rows)
 		k := b.ReplicatedRowOp(op.Name, kind, op.Rows, op.Cols,
-			func(g, mi, _ int) []kernel.Tile { return b.Tile1(src.Tile(mi, g)) }, out)
+			func(g, mi, _ int) kernel.Tiles { return kernel.One(src.Tile(mi, g)) }, out)
 		p.add(spec.Barrier, k)
 		*st = actState{kind: stateGathered, gathered: out}
 
@@ -227,7 +227,7 @@ func lowerRowOp(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p *p
 		copies := st.local
 		out := b.NewGathered(op.Rows)
 		k := b.ReplicatedRowOp(op.Name, kind, op.Rows, op.Cols,
-			func(g, mi, _ int) []kernel.Tile { return b.RowTiles(copies, mi, g) }, out)
+			func(g, mi, _ int) kernel.Tiles { return copies.RowTiles(mi, g) }, out)
 		p.add(spec.Barrier, k)
 		*st = actState{kind: stateGathered, gathered: out}
 
@@ -253,13 +253,13 @@ func lowerColGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 		}
 		src := st.gathered
 		k := b.GEMM(op.Name, op.M, nLocal, op.K, scale,
-			func(g, mi, ni int) []kernel.Tile { return b.Tile1(src.Tile(mi, g)) }, out)
+			func(g, mi, ni int) kernel.Tiles { return kernel.One(src.Tile(mi, g)) }, out)
 		p.add(spec.Barrier, k)
 
 	case AGNVLS, AGRing, AGP2PPush:
 		src := needSharded(st, op.Name)
 		copies := b.NewGathered(op.M)
-		in := func(g, mi, _ int) []kernel.Tile { return b.Tile1(src.Tile(mi)) }
+		in := func(g, mi, _ int) kernel.Tiles { return kernel.One(src.Tile(mi)) }
 		var ag *kernel.Kernel
 		switch spec.Gather {
 		case AGNVLS:
@@ -272,7 +272,7 @@ func lowerColGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 			panic("strategy: unreachable gather impl inside AGNVLS/AGRing/AGP2PPush case")
 		}
 		gemm := b.GEMM(op.Name, op.M, nLocal, op.K, scale,
-			func(g, mi, ni int) []kernel.Tile { return b.Tile1(copies.Tile(mi, g)) }, out)
+			func(g, mi, ni int) kernel.Tiles { return kernel.One(copies.Tile(mi, g)) }, out)
 		// Stage mode keeps the gather and its consumer together for
 		// fine-grained AG-GEMM overlap (T3's extension); Global mode
 		// splits them (p.add handles both).
@@ -304,7 +304,7 @@ func lowerRowGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 		panic(fmt.Sprintf("strategy: row GEMM %q needs a local input grid, have state %d", op.Name, st.kind))
 	}
 	input := st.local
-	in := func(g, mi, ni int) []kernel.Tile { return b.RowTiles(input, mi, g) }
+	in := func(g, mi, ni int) kernel.Tiles { return input.RowTiles(mi, g) }
 	scale := op.ComputeScale()
 
 	switch spec.Reduce {
@@ -312,7 +312,7 @@ func lowerRowGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 		partial := b.NewLocalGrid(op.M, op.N)
 		gemm := b.GEMM(op.Name, op.M, op.N, kLocal, scale, in, partial)
 		copies := b.NewLocalGrid(op.M, op.N)
-		commIn := func(g, mi, ni int) []kernel.Tile { return b.Tile1(partial.Tile(mi, ni, g)) }
+		commIn := func(g, mi, ni int) kernel.Tiles { return kernel.One(partial.Tile(mi, ni, g)) }
 		build := func(name string, cin model.InTiles) *kernel.Kernel {
 			if spec.Reduce == RedARNVLS {
 				return b.NVLSAllReduce(name, op.M, op.N, cin, copies)
@@ -335,16 +335,15 @@ func lowerRowGEMM(b *model.Builder, spec Spec, op model.OpSpec, st *actState, p 
 		parts := b.NewParts(op.M, op.N)
 		var rs *kernel.Kernel
 		if spec.Reduce == RedRSNVLSPull {
-			commIn := func(g, mi, ni int) []kernel.Tile {
+			commIn := func(g, mi, ni int) kernel.Tiles {
 				// The pull fans reads to every GPU's replica: all partials
-				// of this tile must be in place (interned: the set is the
-				// same for every requesting GPU and iteration).
-				return b.PeerTiles(partial, mi, ni)
+				// of this tile must be in place.
+				return partial.PeerTiles(mi, ni)
 			}
 			rs = b.NVLSReduceScatter("rs."+op.Name, op.M, op.N, commIn, red, parts)
 		} else {
-			commIn := func(g, mi, ni int) []kernel.Tile {
-				return b.Tile1(partial.Tile(mi, ni, g))
+			commIn := func(g, mi, ni int) kernel.Tiles {
+				return kernel.One(partial.Tile(mi, ni, g))
 			}
 			rs = b.RingReduceScatter("rs."+op.Name, op.M, op.N, commIn, red, parts)
 		}
@@ -392,38 +391,34 @@ func chunkedComms(b *model.Builder, spec Spec, op model.OpSpec,
 		}
 		return c
 	}
-	// Gate inputs intern per (gpu, chunk): the set is identical on every
-	// Work re-evaluation, so one immutable slice serves them all.
-	gateIn := make(map[[2]int][]kernel.Tile)
-	gate, gateTile := b.GateKernel("gate."+op.Name, C, func(g, c int) []kernel.Tile {
-		key := [2]int{g, c}
-		if tiles, ok := gateIn[key]; ok {
-			return tiles
-		}
-		var tiles []kernel.Tile
+	// chunkOf is monotone in mi, so chunk c's rows are one contiguous range
+	// and their row tiles, in row order, one run of stride P.
+	gate, gateTile := b.GateKernel("gate."+op.Name, C, func(g, c int) kernel.Tiles {
+		lo, rows := 0, 0
 		for mi := 0; mi < mT; mi++ {
-			if chunkOf(mi) != c {
-				continue
+			if chunkOf(mi) == c {
+				if rows == 0 {
+					lo = mi
+				}
+				rows++
 			}
-			tiles = append(tiles, b.RowTiles(partial, mi, g)...)
 		}
-		gateIn[key] = tiles
-		return tiles
+		return kernel.Tiles{Tile: partial.Tile(lo, 0, g), Stride: partial.P, N: rows * partial.NTiles}
 	})
 	out := []*kernel.Kernel{gate}
 	if spec.FusedComm {
-		k := build("ar."+op.Name, func(g, mi, ni int) []kernel.Tile {
-			return b.Tile1(gateTile(chunkOf(mi), g))
+		k := build("ar."+op.Name, func(g, mi, ni int) kernel.Tiles {
+			return kernel.One(gateTile(chunkOf(mi), g))
 		})
 		return append(out, k)
 	}
 	for c := 0; c < C; c++ {
 		c := c
-		k := build(fmt.Sprintf("ar.%s.c%d", op.Name, c), func(g, mi, ni int) []kernel.Tile {
+		k := build(fmt.Sprintf("ar.%s.c%d", op.Name, c), func(g, mi, ni int) kernel.Tiles {
 			if chunkOf(mi) != c {
-				return nil
+				return kernel.Tiles{}
 			}
-			return b.Tile1(gateTile(c, g))
+			return kernel.One(gateTile(c, g))
 		})
 		out = append(out, chunkFiltered(k, chunkOf, c, model.NTiles(op.N), model.MTiles(op.M)*model.NTiles(op.N)))
 	}
@@ -458,36 +453,18 @@ func initialState(b *model.Builder, spec Spec, tokens int) actState {
 	switch spec.Layout {
 	case SeqParallel:
 		x := b.NewSharded(tokens)
-		var tiles []kernel.Tile
-		for mi := 0; mi < x.MTiles; mi++ {
-			tiles = append(tiles, x.Tile(mi))
-		}
-		b.M.PublishTiles(tiles)
+		b.M.PublishTiles(kernel.Tiles{Tile: x.Tile(0), Stride: 1, N: x.MTiles})
 		return actState{kind: stateSharded, sharded: x}
 	default:
 		x := b.NewGathered(tokens)
-		var tiles []kernel.Tile
-		for mi := 0; mi < x.MTiles; mi++ {
-			for g := 0; g < b.P; g++ {
-				tiles = append(tiles, x.Tile(mi, g))
-			}
-		}
-		b.M.PublishTiles(tiles)
+		b.M.PublishTiles(kernel.Tiles{Tile: x.Tile(0, 0), Stride: 1, N: x.MTiles * x.P})
 		return actState{kind: stateGathered, gathered: x}
 	}
 }
 
 // publishLocalGrid publishes a whole per-GPU grid (workload inputs).
 func publishLocalGrid(b *model.Builder, grid model.LocalGrid) {
-	var tiles []kernel.Tile
-	for mi := 0; mi < grid.MTiles; mi++ {
-		for ni := 0; ni < grid.NTiles; ni++ {
-			for g := 0; g < grid.P; g++ {
-				tiles = append(tiles, grid.Tile(mi, ni, g))
-			}
-		}
-	}
-	b.M.PublishTiles(tiles)
+	b.M.PublishTiles(kernel.Tiles{Tile: grid.Tile(0, 0, 0), Stride: 1, N: grid.MTiles * grid.NTiles * grid.P})
 }
 
 // execute runs the plan's stages and returns the completion time.
