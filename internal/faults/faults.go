@@ -194,7 +194,8 @@ func checkGPU(f Fault, numGPUs int, wildcardOK bool) error {
 }
 
 // Validate checks the schedule against a concrete topology. Rules beyond
-// simple range checks: LinkDown must have a repair time (a permanently dead
+// simple range checks: onset plus duration must fit the simulated clock
+// (sim.MaxTime), LinkDown must have a repair time (a permanently dead
 // link deadlocks queued traffic), and at least one plane must survive every
 // instant of the run (the re-route hash needs a live target).
 func (s *Schedule) Validate(numGPUs, numPlanes int) error {
@@ -211,6 +212,9 @@ func (s *Schedule) Validate(numGPUs, numPlanes int) error {
 		}
 		if f.For < 0 {
 			return fmt.Errorf("faults: fault %d (%s): negative repair delay", i, f)
+		}
+		if f.For > sim.MaxTime-f.At {
+			return fmt.Errorf("faults: fault %d (%s): repair time (onset + duration) overflows the simulated clock", i, f)
 		}
 		switch f.Kind {
 		case LinkDegrade:

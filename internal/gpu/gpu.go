@@ -43,6 +43,7 @@ type GPU struct {
 
 	eng     *sim.Engine
 	hw      config.Hardware
+	tbLane  *sim.Lane   // TBOverhead: the fixed dispatch delay
 	up      []*noc.Link // per switch plane
 	planeOf func(addr uint64) int
 	// groupPlane, when set by the assembly layer, routes sync traffic for
@@ -90,7 +91,7 @@ type GPU struct {
 // New creates a GPU. Uplinks are attached afterwards with ConnectUp.
 func New(eng *sim.Engine, id int, hw config.Hardware, planeOf func(addr uint64) int, sink DataSink) *GPU {
 	g := &GPU{
-		ID: id, eng: eng, hw: hw, planeOf: planeOf, sink: sink,
+		ID: id, eng: eng, hw: hw, tbLane: eng.Lane(hw.TBOverhead), planeOf: planeOf, sink: sink,
 		slowdown:  1,
 		up:        make([]*noc.Link, hw.NumSwitchPlanes),
 		hbm:       sim.NewResource(fmt.Sprintf("gpu%d.hbm", id)),

@@ -381,7 +381,7 @@ func (g *GPU) dispatch(l *Launch, run *tbRun) {
 	l.active++
 	g.slotAcquire(run)
 	run.next = stepPrePhase
-	g.eng.After(g.hw.TBOverhead, run.stepFn)
+	g.tbLane.After(run.stepFn)
 }
 
 // slotAcquire assigns a free SM-slot trace track to a dispatched TB.

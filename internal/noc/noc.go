@@ -251,8 +251,8 @@ type Link struct {
 	Name string
 
 	eng      *sim.Engine
-	bw       float64 // bytes/s
-	latency  sim.Time
+	bw       float64   // bytes/s
+	prop     *sim.Lane // propagation latency: the fixed delay to deliver
 	dst      Endpoint
 	vcOn     bool
 	sideband bool // dedicated control/request channel (default on)
@@ -290,7 +290,7 @@ func NewLink(eng *sim.Engine, name string, bytesPerSecond float64, latency sim.T
 	if bytesPerSecond <= 0 {
 		panic("noc: link bandwidth must be positive")
 	}
-	l := &Link{Name: name, eng: eng, bw: bytesPerSecond, latency: latency, dst: dst, sideband: true,
+	l := &Link{Name: name, eng: eng, bw: bytesPerSecond, prop: eng.Lane(latency), dst: dst, sideband: true,
 		bwScale: 1, tr: trace.FromEngine(eng)}
 	l.onSerializedFn = l.onSerialized
 	l.deliverFn = l.deliver
@@ -471,7 +471,7 @@ func (l *Link) transmitNext() {
 // its delivery is scheduled after the propagation latency, and the link
 // arbitrates the next packet.
 func (l *Link) onSerialized() {
-	l.eng.After(l.latency, l.deliverFn)
+	l.prop.After(l.deliverFn)
 	l.transmitNext()
 }
 

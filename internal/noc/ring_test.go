@@ -71,8 +71,7 @@ func TestRingSteadyStateZeroAlloc(t *testing.T) {
 
 // BenchmarkRingEnqueueDequeue measures the per-class queue churn pattern
 // Link.Send/pop exercise: bursts of enqueues drained in FIFO order. The
-// old append/reslice queues allocated on every burst; the ring reuses its
-// backing array (0 allocs/op at steady state).
+// ring reuses its backing array (0 allocs/op at steady state).
 func BenchmarkRingEnqueueDequeue(b *testing.B) {
 	var r ring
 	p := &Packet{}
@@ -84,22 +83,5 @@ func BenchmarkRingEnqueueDequeue(b *testing.B) {
 		for j := 0; j < 16; j++ {
 			r.pop()
 		}
-	}
-}
-
-// BenchmarkSliceEnqueueDequeue is the pre-PR-5 append/reslice queue idiom,
-// kept as the comparison baseline for BenchmarkRingEnqueueDequeue.
-func BenchmarkSliceEnqueueDequeue(b *testing.B) {
-	var q []*Packet
-	p := &Packet{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 16; j++ {
-			q = append(q, p)
-		}
-		for j := 0; j < 16; j++ {
-			q = q[1:]
-		}
-		q = nil
 	}
 }

@@ -131,24 +131,25 @@ func (p EvictionPolicy) String() string {
 // plus merging table with byte-capacity accounting, LRU eviction and a
 // timeout-based forward-progress mechanism (Sec. III-A-4).
 type MergeUnit struct {
-	name          string
-	gpu           int // the GPU this port faces (the home side)
-	eng           *sim.Engine
-	capacity      int64 // bytes; negative = unlimited
-	timeout       sim.Time
-	sessions      map[uint64]*session
-	order         []uint64 // insertion/access order for deterministic LRU scan
-	used          int64
-	hwm           int64
-	stats         *Stats
-	sendDown      func(gpu int, p *noc.Packet)
-	creditLatency sim.Time
-	policy        EvictionPolicy
-	numGPUs       int
-	nextID        uint64
-	disabled      bool // fault injection: force the unmerged bypass path
-	tr            *trace.Tracer
-	pid           int32
+	name     string
+	gpu      int // the GPU this port faces (the home side)
+	eng      *sim.Engine
+	capacity int64 // bytes; negative = unlimited
+	timeout  sim.Time
+	sessions map[uint64]*session
+	order    []uint64 // insertion/access order for deterministic LRU scan
+	used     int64
+	hwm      int64
+	stats    *Stats
+	sendDown func(gpu int, p *noc.Packet)
+	credits  *sim.Lane // credit-return latency
+	timeouts *sim.Lane // the merge timeout, for first arms
+	policy   EvictionPolicy
+	numGPUs  int
+	nextID   uint64
+	disabled bool // fault injection: force the unmerged bypass path
+	tr       *trace.Tracer
+	pid      int32
 
 	// pkts is the run-wide packet free list (nil degrades to allocation);
 	// the session/tag pools are private to this port.
@@ -169,9 +170,10 @@ func (m *MergeUnit) getSession() *session {
 	return s
 }
 
-func newMergeUnit(eng *sim.Engine, name string, capacity int64, timeout sim.Time, stats *Stats) *MergeUnit {
+func newMergeUnit(eng *sim.Engine, name string, capacity int64, timeout, creditLatency sim.Time, stats *Stats) *MergeUnit {
 	return &MergeUnit{
 		name: name, eng: eng, capacity: capacity, timeout: timeout,
+		credits: eng.Lane(creditLatency), timeouts: eng.Lane(timeout),
 		sessions: make(map[uint64]*session), stats: stats,
 	}
 }
@@ -243,8 +245,7 @@ func (m *MergeUnit) credit(p *noc.Packet) {
 	if p.OnAccepted == nil {
 		return
 	}
-	fn := p.OnAccepted
-	m.eng.After(m.creditLatency, fn)
+	m.credits.After(p.OnAccepted)
 }
 
 // HandleLoad implements Micro-Function 1 (load request merging).
@@ -643,9 +644,15 @@ func (m *MergeUnit) insert(s *session) {
 // armTimeout schedules the forward-progress check for a session. Each
 // access extends the deadline; the event re-arms itself (via the session's
 // cached closure — no per-arm allocation) until the session is released or
-// goes stale.
+// goes stale. A first arm (the session was touched at this instant) is a
+// fixed delay from now and takes the timeout lane; a re-arm from
+// timeoutCheck counts from an earlier touch and goes to the heap.
 func (m *MergeUnit) armTimeout(s *session) {
 	if m.timeout <= 0 {
+		return
+	}
+	if s.lru == m.eng.Now() {
+		m.timeouts.After(s.timeoutFn)
 		return
 	}
 	m.eng.At(s.lru+m.timeout, s.timeoutFn)

@@ -83,8 +83,10 @@ type Switch struct {
 	// pending pairs packets awaiting the switch-internal latency with the
 	// single cached processNextFn closure: the latency is constant, so
 	// processing is FIFO and the ring head always matches the next event.
+	// procLane is the engine lane for that latency.
 	pending       pool.Ring[*noc.Packet]
 	processNextFn func()
+	procLane      *sim.Lane
 }
 
 type pullKey struct {
@@ -177,13 +179,13 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 		stats:    st,
 		tr:       trace.FromEngine(eng),
 		pid:      trace.SwitchPid(cfg.Plane),
+		procLane: eng.Lane(cfg.SwitchLatency),
 	}
 	s.processNextFn = s.processNext
 	for g := 0; g < cfg.NumGPUs; g++ {
-		s.port[g] = newMergeUnit(eng, fmt.Sprintf("sw%d.port%d", cfg.Plane, g), cfg.MergeCapacity, cfg.MergeTimeout, s.stats)
+		s.port[g] = newMergeUnit(eng, fmt.Sprintf("sw%d.port%d", cfg.Plane, g), cfg.MergeCapacity, cfg.MergeTimeout, cfg.CreditLatency, s.stats)
 		s.port[g].sendDown = s.sendDown
 		s.port[g].gpu = g
-		s.port[g].creditLatency = cfg.CreditLatency
 		s.port[g].policy = cfg.Eviction
 		s.port[g].numGPUs = cfg.NumGPUs
 		s.port[g].tr = s.tr
@@ -282,7 +284,7 @@ func (s *Switch) Repair() {
 // processed after the switch-internal latency.
 func (s *Switch) Receive(p *noc.Packet) {
 	s.pending.PushBack(p)
-	s.eng.After(s.cfg.SwitchLatency, s.processNextFn)
+	s.procLane.After(s.processNextFn)
 }
 
 func (s *Switch) processNext() {

@@ -1,22 +1,13 @@
-// Engine hot-path microbenchmarks. The event queue is the simulator's
+// Engine hot-path microbenchmarks. The event queues are the simulator's
 // innermost loop — every simulated request, kernel phase and sync crossing
-// is one push/pop pair — so these benchmarks pin the two properties the
-// concrete 4-ary heap was built for: low ns/event and zero steady-state
-// allocations per scheduled event.
+// is one push/pop pair — so these benchmarks pin low ns/event and zero
+// steady-state allocations per scheduled event, for the 4-ary heap and
+// for the fixed-delay lanes:
 //
-// BenchmarkEngineHoldBoxedHeap keeps the old container/heap implementation
-// alive (test-only) as the comparison baseline: run
-//
-//	go test -run='^$' -bench='BenchmarkEngineHold' -benchmem ./internal/sim/
-//
-// to see the specialized heap against the interface-boxed one on the same
-// hold workload.
+//	go test -run='^$' -bench='BenchmarkEngine' -benchmem ./internal/sim/
 package sim
 
-import (
-	"container/heap"
-	"testing"
-)
+import "testing"
 
 // nop is the scheduled body for queue-focused benchmarks: the work under
 // measurement is the heap, not the event.
@@ -61,53 +52,45 @@ func BenchmarkEngineHold64(b *testing.B)   { benchHold(b, 64) }
 func BenchmarkEngineHold1024(b *testing.B) { benchHold(b, 1024) }
 func BenchmarkEngineHold8192(b *testing.B) { benchHold(b, 8192) }
 
-// boxedHeap is the pre-overhaul event queue: container/heap over a slice
-// of events, paying one interface box per Push and one unbox per Pop. It
-// lives only in this benchmark file as the comparison baseline.
-type boxedHeap []event
-
-func (h boxedHeap) Len() int { return len(h) }
-func (h boxedHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h boxedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *boxedHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *boxedHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = event{}
-	*h = old[:n-1]
-	return e
-}
-
-// BenchmarkEngineHoldBoxedHeap is the same hold workload as
-// BenchmarkEngineHold1024 run against the old container/heap queue.
-func BenchmarkEngineHoldBoxedHeap(b *testing.B) {
-	const depth = 1024
-	var h boxedHeap
-	var seq uint64
-	push := func(at Time) {
-		seq++
-		heap.Push(&h, event{at: at, seq: seq, fn: nop})
-	}
-	for i := 0; i < depth; i++ {
-		push(Time(i % 64))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := heap.Pop(&h).(event)
-		push(ev.at + Time(1+i%64))
+// BenchmarkEngineLaneHold is the hold model at depth 1024 with one fixed
+// delay, scheduled through a lane and through the heap: the per-event
+// saving every constant-delay call site gets from its lane.
+func BenchmarkEngineLaneHold(b *testing.B) {
+	const depth, delay = 1024, 64
+	for _, viaLane := range []bool{true, false} {
+		name := "heap"
+		if viaLane {
+			name = "lane"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := NewEngine()
+			lane := e.Lane(delay)
+			remaining := b.N
+			var arm func()
+			arm = func() {
+				if remaining == 0 {
+					return
+				}
+				remaining--
+				if viaLane {
+					lane.After(arm)
+				} else {
+					e.At(e.Now()+delay, arm)
+				}
+			}
+			for i := 0; i < depth; i++ {
+				e.At(Time(i%delay), arm)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
 	}
 }
 
 // BenchmarkEngineHoldConcreteHeap is the queue-only counterpart of
-// BenchmarkEngineHoldBoxedHeap: the same pop+push cycle directly against
-// the 4-ary heap, isolating the queue from engine bookkeeping.
+// BenchmarkEngineHold1024: the same pop+push cycle directly against the
+// 4-ary heap, isolating the queue from engine bookkeeping.
 func BenchmarkEngineHoldConcreteHeap(b *testing.B) {
 	const depth = 1024
 	var h eventHeap
@@ -128,21 +111,35 @@ func BenchmarkEngineHoldConcreteHeap(b *testing.B) {
 }
 
 // TestEngineSteadyStateAllocs proves the hot path allocates nothing per
-// event once the heap is warm: scheduling into and draining a warmed
-// engine must cost zero allocations per push/pop pair.
+// event once the queues are warm: scheduling into and draining a warmed
+// engine must cost zero allocations per push/pop pair, on the heap, on a
+// fixed-delay lane and on the zero-delay lane.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
-	// Warm the queue past the initial capacity so growth is behind us.
+	lane := e.Lane(3)
+	// Warm the queues past their initial capacities so growth is behind us.
 	for i := 0; i < 2*initialHeapCap; i++ {
 		e.At(Time(i), nop)
+		lane.After(nop)
+		e.After(0, nop)
 	}
 	e.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.At(e.Now()+1, nop)
-		e.Run()
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state schedule+run allocates %.1f times per event, want 0", allocs)
+	cases := []struct {
+		name     string
+		schedule func()
+	}{
+		{"heap", func() { e.At(e.Now()+1, nop) }},
+		{"lane", func() { lane.After(nop) }},
+		{"zero lane", func() { e.After(0, nop) }},
+	}
+	for _, c := range cases {
+		allocs := testing.AllocsPerRun(1000, func() {
+			c.schedule()
+			e.Run()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state schedule+run allocates %.1f times per event, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package sim provides the discrete-event simulation engine used by every
-// other subsystem in the CAIS reproduction: a deterministic event heap with
-// picosecond resolution, a splitmix64-based reproducible RNG, serialized
-// resources for bandwidth/occupancy accounting, and countdown latches for
-// barrier modeling.
+// other subsystem in the CAIS reproduction: a deterministic event queue
+// with picosecond resolution (a heap plus fixed-delay FIFO lanes), a
+// splitmix64-based reproducible RNG, serialized resources for
+// bandwidth/occupancy accounting, and countdown latches for barrier
+// modeling.
 //
 // All simulated components (GPUs, links, switches, runtimes) share one
 // Engine and communicate exclusively by scheduling events on it, so a whole
@@ -12,6 +13,8 @@ package sim
 import (
 	"fmt"
 	"math"
+
+	"cais/internal/pool"
 )
 
 // Time is simulated time in picoseconds. Picoseconds keep bandwidth
@@ -226,13 +229,27 @@ func (h *eventHeap) siftDown(i int) {
 // Engine is a deterministic discrete-event scheduler. Events scheduled for
 // the same instant run in scheduling order, so simulations are
 // bit-reproducible across runs and platforms.
+//
+// Events live in two kinds of queue: the heap, for events at arbitrary
+// instants, and fixed-delay lanes (see Lane), for events scheduled a
+// constant delay after the current time. RunUntil always executes the
+// smallest (at, seq) across the heap top and the lane heads, so which
+// queue holds an event never changes the execution order.
 type Engine struct {
 	now     Time
 	seq     uint64
 	steps   uint64
 	heap    eventHeap
+	lanes   []*Lane
+	zero    *Lane // the lane After(0) uses
 	stopped bool
 	limit   uint64 // optional hard step limit guard; 0 disables
+
+	// Queue telemetry: events pending across heap and lanes, its
+	// high-water mark, and how many events were scheduled on lanes.
+	queued     int
+	highWater  int
+	laneEvents uint64
 
 	// observer is an opaque attachment slot for cross-cutting
 	// instrumentation (the trace package's Tracer hooks in here, so every
@@ -246,7 +263,9 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.zero = e.Lane(0)
+	return e
 }
 
 // Now reports current simulated time.
@@ -254,6 +273,14 @@ func (e *Engine) Now() Time { return e.now }
 
 // Steps reports how many events have been executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
+
+// QueueHighWater reports the most events ever pending at once, heap and
+// lanes together.
+func (e *Engine) QueueHighWater() int { return e.highWater }
+
+// LaneEvents reports how many events were scheduled on fixed-delay lanes
+// (After with a non-positive delay included) rather than on the heap.
+func (e *Engine) LaneEvents() uint64 { return e.laneEvents }
 
 // SetStepLimit installs a guard that aborts Run with a panic after n events.
 // It exists to turn accidental event loops in tests into immediate failures
@@ -288,18 +315,84 @@ func (e *Engine) At(t Time, fn func()) {
 	}
 	e.seq++
 	e.heap.push(event{at: t, seq: e.seq, fn: fn})
+	e.noteQueued()
 }
 
 // After schedules fn to run d after the current time. Negative delays clamp
-// to zero, and a delay past MaxTime saturates at MaxTime.
+// to zero, and a delay past MaxTime saturates at MaxTime. A non-positive
+// delay goes to the engine's zero-delay lane.
 func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		d = 0
+	if d <= 0 {
+		e.zero.After(fn)
+		return
 	}
 	if d > MaxTime-e.now {
 		d = MaxTime - e.now
 	}
 	e.At(e.now+d, fn)
+}
+
+// noteQueued counts one more pending event and tracks the high-water mark.
+func (e *Engine) noteQueued() {
+	e.queued++
+	if e.queued > e.highWater {
+		e.highWater = e.queued
+	}
+}
+
+// Lane is a FIFO of events that all run one fixed delay after they were
+// scheduled. Scheduled in order, their times now+d never decrease (the
+// clock only moves forward) and their sequence numbers strictly increase,
+// so the FIFO is already sorted by (at, seq): pushing and popping it costs
+// O(1) where the heap costs O(log n), and the execution order is the one
+// the heap would have produced.
+//
+// Get a lane with Engine.Lane once, at construction, and schedule through
+// it on the hot path.
+type Lane struct {
+	eng  *Engine
+	d    Time
+	q    pool.Ring[event]
+	last Time // the newest event's time
+}
+
+// Lane returns the engine's lane for delay d, creating it on first use.
+// There is one lane per delay, so every caller with the same delay shares
+// it. Negative delays clamp to zero.
+func (e *Engine) Lane(d Time) *Lane {
+	if d < 0 {
+		d = 0
+	}
+	for _, l := range e.lanes {
+		if l.d == d {
+			return l
+		}
+	}
+	l := &Lane{eng: e, d: d}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// After schedules fn to run the lane's delay after the current time. It
+// behaves exactly like Engine.After with that delay. When now+d would pass
+// MaxTime, or a RunUntil deadline rewound the clock below the lane's newest
+// event, the event goes to the heap instead, which keeps the lane sorted.
+func (l *Lane) After(fn func()) {
+	e := l.eng
+	if l.d > MaxTime-e.now {
+		e.At(MaxTime, fn)
+		return
+	}
+	at := e.now + l.d
+	if at < l.last {
+		e.At(at, fn)
+		return
+	}
+	e.seq++
+	l.q.PushBack(event{at: at, seq: e.seq, fn: fn})
+	l.last = at
+	e.laneEvents++
+	e.noteQueued()
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -318,12 +411,21 @@ func (e *Engine) Run() Time {
 // reached with events still pending).
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for e.heap.len() > 0 && !e.stopped {
-		if deadline >= 0 && e.heap.min().at > deadline {
+	for !e.stopped {
+		ev, lane, ok := e.next()
+		if !ok {
+			break
+		}
+		if deadline >= 0 && ev.at > deadline {
 			e.now = deadline
 			return e.now
 		}
-		ev := e.heap.pop()
+		if lane == nil {
+			e.heap.pop()
+		} else {
+			lane.q.PopFront()
+		}
+		e.queued--
 		e.now = ev.at
 		e.steps++
 		if e.limit > 0 && e.steps > e.limit {
@@ -337,5 +439,23 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// Pending reports how many events are queued.
-func (e *Engine) Pending() int { return e.heap.len() }
+// next returns the earliest pending event across the heap top and the
+// lane heads, with the lane holding it (nil for the heap); ok is false
+// when nothing is pending.
+func (e *Engine) next() (best event, from *Lane, ok bool) {
+	if e.heap.len() > 0 {
+		best, ok = *e.heap.min(), true
+	}
+	for _, l := range e.lanes {
+		if l.q.Len() == 0 {
+			continue
+		}
+		if h := l.q.Head(); !ok || h.before(&best) {
+			best, from, ok = h, l, true
+		}
+	}
+	return best, from, ok
+}
+
+// Pending reports how many events are queued, heap and lanes together.
+func (e *Engine) Pending() int { return e.queued }

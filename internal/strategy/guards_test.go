@@ -1,8 +1,10 @@
 package strategy
 
 import (
+	"strings"
 	"testing"
 
+	"cais/internal/faults"
 	"cais/internal/machine"
 	"cais/internal/model"
 	"cais/internal/sim"
@@ -94,5 +96,31 @@ func TestDirectionTrafficAsymmetry(t *testing.T) {
 	busyUp, busyDown := res.Machine.DirectionBusy()
 	if busyUp <= 0 || busyDown <= 0 {
 		t.Fatal("no directional busy time")
+	}
+}
+
+// TestRunRejectsOverflowingFaultSchedule: a schedule whose repair time
+// overflows the simulated clock is an error from the run entry points,
+// not a panic in the engine.
+func TestRunRejectsOverflowingFaultSchedule(t *testing.T) {
+	sched, err := faults.Parse([]byte(`{"faults":[{"kind":"link-degrade","at_us":9e12,"for_us":9e12,"factor":0.5}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Faults: sched}
+	runs := map[string]func() error{
+		"RunSubLayer": func() error {
+			_, err := RunSubLayer(tinyHW(), CAIS(), model.SubLayers(tinyModel())[0], opts)
+			return err
+		},
+		"RunLayersOpts": func() error {
+			_, err := RunLayersOpts(tinyHW(), CAIS(), tinyModel(), false, 1, opts)
+			return err
+		},
+	}
+	for name, run := range runs {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%s: err = %v, want the fault's overflow named", name, err)
+		}
 	}
 }

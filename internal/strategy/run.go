@@ -498,7 +498,12 @@ func execute(m *machine.Machine, p *plan) (sim.Time, error) {
 // default before hashing (zero and explicit default must key identically).
 const DefaultStepLimit uint64 = 2_000_000_000
 
-func newMachine(hw config.Hardware, spec Spec, opts Options) *machine.Machine {
+// newMachine assembles the machine for one run. A fault schedule that does
+// not fit the topology is an error here rather than a panic in assembly.
+func newMachine(hw config.Hardware, spec Spec, opts Options) (*machine.Machine, error) {
+	if err := opts.Faults.Validate(hw.NumGPUs, hw.NumSwitchPlanes); err != nil {
+		return nil, err
+	}
 	eng := sim.NewEngine()
 	limit := opts.StepLimit
 	if limit == 0 {
@@ -519,7 +524,7 @@ func newMachine(hw config.Hardware, spec Spec, opts Options) *machine.Machine {
 		NoControlSideband:   opts.NoControlSideband,
 		Tracer:              opts.Tracer,
 		Faults:              opts.Faults,
-	})
+	}), nil
 }
 
 // observers resolves the declarative observability knobs. The internal
@@ -559,7 +564,10 @@ func finish(spec Spec, m *machine.Machine, doneAt sim.Time, opts Options, rec *m
 // sub-layers (row-GEMM -> LN -> col-GEMM, Fig. 12) under the strategy.
 func RunSubLayer(hw config.Hardware, spec Spec, sub model.SubLayer, opts Options) (Result, error) {
 	rec := observers(hw, &opts)
-	m := newMachine(hw, spec, opts)
+	m, err := newMachine(hw, spec, opts)
+	if err != nil {
+		return Result{}, err
+	}
 	if rec != nil {
 		m.AttachRecorder(rec)
 	}
@@ -606,7 +614,10 @@ func RunLayersOpts(hw config.Hardware, spec Spec, cfg config.Model, training boo
 		return Result{}, err
 	}
 	rec := observers(hw, &opts)
-	m := newMachine(hw, spec, opts)
+	m, err := newMachine(hw, spec, opts)
+	if err != nil {
+		return Result{}, err
+	}
 	if rec != nil {
 		m.AttachRecorder(rec)
 	}

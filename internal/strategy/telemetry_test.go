@@ -90,3 +90,21 @@ func TestTelemetrySnapshotInResult(t *testing.T) {
 		t.Errorf("sim.steps = %v, want > 0", v)
 	}
 }
+
+// TestTelemetryQueueGauges: the engine's queue gauges reach the snapshot.
+// Every lane event is executed by the end of the run, so lane_events is
+// bounded by sim.steps.
+func TestTelemetryQueueGauges(t *testing.T) {
+	res, err := RunLayersOpts(tinyHW(), CAIS(), tinyModel(), false, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := res.Telemetry
+	steps := snap.Value("sim.steps")
+	if v := snap.Value("sim.queue_high_water"); v < 1 || v > steps {
+		t.Errorf("sim.queue_high_water = %v, want in [1, %v]", v, steps)
+	}
+	if v := snap.Value("sim.lane_events"); v <= 0 || v > steps {
+		t.Errorf("sim.lane_events = %v, want in (0, %v]", v, steps)
+	}
+}
