@@ -5,6 +5,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 
 	"cais/internal/sim"
 )
@@ -128,12 +129,14 @@ func (h Hardware) Validate() error {
 		return fmt.Errorf("config: NumSwitchPlanes = %d, need >= 1", h.NumSwitchPlanes)
 	case h.SMsPerGPU < 1:
 		return fmt.Errorf("config: SMsPerGPU = %d, need >= 1", h.SMsPerGPU)
-	case h.SMFLOPs <= 0:
-		return fmt.Errorf("config: SMFLOPs = %g, need > 0", h.SMFLOPs)
-	case h.HBMBandwidth <= 0:
-		return fmt.Errorf("config: HBMBandwidth = %g, need > 0", h.HBMBandwidth)
-	case h.LinkBandwidth <= 0:
-		return fmt.Errorf("config: LinkBandwidth = %g, need > 0", h.LinkBandwidth)
+	case !finitePositive(h.SMFLOPs):
+		return fmt.Errorf("config: SMFLOPs = %g, need finite > 0", h.SMFLOPs)
+	case !finitePositive(h.HBMBandwidth):
+		return fmt.Errorf("config: HBMBandwidth = %g, need finite > 0", h.HBMBandwidth)
+	case !finitePositive(h.LinkBandwidth):
+		return fmt.Errorf("config: LinkBandwidth = %g, need finite > 0", h.LinkBandwidth)
+	case math.IsNaN(h.LinkEfficiency):
+		return fmt.Errorf("config: LinkEfficiency is NaN")
 	case h.LinkLatency < 0:
 		return fmt.Errorf("config: negative LinkLatency")
 	case h.MergeTableBytes < 0:
@@ -144,9 +147,19 @@ func (h Hardware) Validate() error {
 		return fmt.Errorf("config: ElemBytes = %d, need >= 1", h.ElemBytes)
 	case h.NumVirtualChannels < 1:
 		return fmt.Errorf("config: NumVirtualChannels = %d, need >= 1", h.NumVirtualChannels)
+	case !finitePositive(h.PlaneBandwidth()):
+		return fmt.Errorf("config: plane bandwidth %g = LinkBandwidth %g x efficiency / %d planes, need finite > 0",
+			h.PlaneBandwidth(), h.LinkBandwidth, h.NumSwitchPlanes)
+	case !finitePositive(h.GPUFLOPs()):
+		return fmt.Errorf("config: GPU FLOP/s %g = SMFLOPs %g x %d SMs, need finite > 0",
+			h.GPUFLOPs(), h.SMFLOPs, h.SMsPerGPU)
 	}
 	return nil
 }
+
+// finitePositive reports whether x is a positive, finite number (NaN is
+// neither).
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // PlaneBandwidth is the effective per-direction bandwidth of one switch
 // plane's link to one GPU.

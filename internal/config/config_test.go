@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,19 @@ func TestValidateCatchesEachField(t *testing.T) {
 		func(h *Hardware) { h.RequestBytes = 0 },
 		func(h *Hardware) { h.ElemBytes = 0 },
 		func(h *Hardware) { h.NumVirtualChannels = 0 },
+		func(h *Hardware) { h.SMFLOPs = math.NaN() },
+		func(h *Hardware) { h.SMFLOPs = math.Inf(1) },
+		func(h *Hardware) { h.SMFLOPs = math.Inf(-1) },
+		func(h *Hardware) { h.HBMBandwidth = math.NaN() },
+		func(h *Hardware) { h.HBMBandwidth = math.Inf(1) },
+		func(h *Hardware) { h.HBMBandwidth = math.Inf(-1) },
+		func(h *Hardware) { h.LinkBandwidth = math.NaN() },
+		func(h *Hardware) { h.LinkBandwidth = math.Inf(1) },
+		func(h *Hardware) { h.LinkBandwidth = math.Inf(-1) },
+		func(h *Hardware) { h.LinkEfficiency = math.NaN() },
+		// Finite fields whose products leave the finite positive range.
+		func(h *Hardware) { h.LinkBandwidth = math.SmallestNonzeroFloat64 },
+		func(h *Hardware) { h.SMFLOPs = math.MaxFloat64 },
 	}
 	for i, breakIt := range break1 {
 		h := DGXH100()

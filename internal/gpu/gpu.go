@@ -74,9 +74,12 @@ type GPU struct {
 	runs    pool.Pool[tbRun]
 
 	// hbmJobs pairs pending HBM-reservation completions with the single
-	// cached hbmDoneFn closure (see access.go).
+	// cached hbmDoneFn closure (see access.go). The completions ride
+	// hbmStream, a private engine stream: HBM reservation ends never
+	// decrease, so they need no heap.
 	hbmJobs   pool.Ring[hbmJob]
 	hbmDoneFn func()
+	hbmStream *sim.Lane
 
 	tr       *trace.Tracer
 	pid      int32
@@ -100,7 +103,7 @@ func New(eng *sim.Engine, id int, hw config.Hardware, planeOf func(addr uint64) 
 		tr:        trace.FromEngine(eng),
 		pid:       trace.GPUPid(id),
 	}
-	g.hbmDoneFn = g.hbmDone
+	g.hbmDoneFn, g.hbmStream = g.hbmDone, eng.Stream()
 	if g.tr.Enabled() {
 		// SM-slot trace tracks, handed out lowest-numbered first so sparse
 		// occupancy renders on the top tracks.
@@ -204,13 +207,13 @@ func (g *GPU) Receive(p *noc.Packet) {
 		// plane so merge/pull sessions see the response.
 		_, end := g.hbm.Reserve(g.eng.Now(), g.hbmTime(p.Size))
 		g.hbmJobs.PushBack(hbmJob{kind: jobServe, p: p})
-		g.eng.At(end, g.hbmDoneFn)
+		g.hbmStream.At(end, g.hbmDoneFn)
 
 	case noc.OpLoadResp:
 		// Requested data arrived: commit to HBM, then complete.
 		_, end := g.hbm.Reserve(g.eng.Now(), g.hbmTime(p.Size))
 		g.hbmJobs.PushBack(hbmJob{kind: jobLoadResp, p: p})
-		g.eng.At(end, g.hbmDoneFn)
+		g.hbmStream.At(end, g.hbmDoneFn)
 
 	case noc.OpStore, noc.OpRedCAIS, noc.OpMultimemRed, noc.OpMultimemST:
 		// Incoming write/reduction/multicast data: commit to HBM, then
@@ -218,7 +221,7 @@ func (g *GPU) Receive(p *noc.Packet) {
 		// counting) and the issuer.
 		_, end := g.hbm.Reserve(g.eng.Now(), g.hbmTime(p.Size))
 		g.hbmJobs.PushBack(hbmJob{kind: jobData, p: p})
-		g.eng.At(end, g.hbmDoneFn)
+		g.hbmStream.At(end, g.hbmDoneFn)
 
 	case noc.OpSyncRelease:
 		g.sync.Release(p.Group, int(p.Addr))
@@ -245,7 +248,7 @@ func (g *GPU) issueAccess(a kernel.Access, group int, throttled bool, onIssued, 
 			ctx.a = a
 			ctx.onComplete = onComplete
 			g.hbmJobs.PushBack(hbmJob{kind: jobLocal, ctx: ctx})
-			g.eng.At(end, g.hbmDoneFn)
+			g.hbmStream.At(end, g.hbmDoneFn)
 		}
 		return
 	}

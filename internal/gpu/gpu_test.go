@@ -201,3 +201,48 @@ type nopSink struct{}
 
 func (nopSink) OnData(int, *noc.Packet)         {}
 func (nopSink) OnAccessDone(int, kernel.Access) {}
+
+// dataLog records when committed data reaches the machine layer.
+type dataLog struct {
+	nopSink
+	eng  *sim.Engine
+	ids  []uint64
+	when []sim.Time
+}
+
+func (d *dataLog) OnData(_ int, p *noc.Packet) {
+	d.ids = append(d.ids, p.ID)
+	d.when = append(d.when, d.eng.Now())
+}
+
+// TestHBMCompletionsRideStream: incoming data commits to HBM in arrival
+// order at the reservation ends, and the completions ride the GPU's HBM
+// stream, so the only heap events are the test's own arrivals.
+func TestHBMCompletionsRideStream(t *testing.T) {
+	eng := sim.NewEngine()
+	hw := testHardware()
+	log := &dataLog{eng: eng}
+	g := New(eng, 0, hw, func(addr uint64) int { return int(addr % 2) }, log)
+	sizes := []int64{8 << 10, 100, 8 << 10, 0, 4 << 10}
+	arrive := []sim.Time{0, 0, 10 * sim.Nanosecond, 10 * sim.Nanosecond, 500 * sim.Nanosecond}
+	var want []sim.Time
+	hbm := sim.NewResource("ref")
+	for i := range sizes {
+		p := &noc.Packet{ID: uint64(i), Op: noc.OpStore, Size: sizes[i]}
+		eng.At(arrive[i], func() { g.Receive(p) })
+		_, end := hbm.Reserve(arrive[i], sim.DurationForBytes(sizes[i], hw.HBMBandwidth))
+		want = append(want, end)
+	}
+	eng.Run()
+	for i := range sizes {
+		if i >= len(log.ids) || log.ids[i] != uint64(i) || log.when[i] != want[i] {
+			t.Fatalf("commits %v at %v, want ids 0..%d at %v", log.ids, log.when, len(sizes)-1, want)
+		}
+	}
+	if got := eng.HeapEvents(); got != uint64(len(sizes)) {
+		t.Errorf("HeapEvents = %d, want %d (the arrivals only)", got, len(sizes))
+	}
+	if got := eng.LaneEvents(); got != uint64(len(sizes)) {
+		t.Errorf("LaneEvents = %d, want %d (one HBM completion each)", got, len(sizes))
+	}
+}

@@ -398,6 +398,7 @@ func (m *Machine) registerGauges() {
 	m.reg.GaugeFunc("sim.steps", func() float64 { return float64(m.Eng.Steps()) })
 	m.reg.GaugeFunc("sim.queue_high_water", func() float64 { return float64(m.Eng.QueueHighWater()) })
 	m.reg.GaugeFunc("sim.lane_events", func() float64 { return float64(m.Eng.LaneEvents()) })
+	m.reg.GaugeFunc("sim.heap_events", func() float64 { return float64(m.Eng.HeapEvents()) })
 	m.reg.GaugeFunc("machine.published_tiles", func() float64 { return float64(m.PublishedTiles) })
 	m.reg.GaugeFunc("machine.merge_hwm_bytes", func() float64 { return float64(m.MergeTableHighWater()) })
 	m.reg.GaugeFunc("noc.up.wire_bytes", func() float64 { up, _ := m.DirectionTraffic(); return float64(up) })

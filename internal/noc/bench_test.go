@@ -12,8 +12,10 @@ type countSink struct{ n int }
 func (c *countSink) Receive(*Packet) { c.n++ }
 
 // BenchmarkLinkHop measures one packet crossing one link: Send, the
-// serialization event, the propagation-lane delivery and Receive. The
-// queues and the engine are warm, so a hop allocates nothing.
+// serialization end, the delivery and Receive. Both events ride engine
+// lanes (the serialization time's and the propagation latency's), so a
+// hop never touches the event heap. The queues and the engine are warm,
+// so a hop allocates nothing.
 func BenchmarkLinkHop(b *testing.B) {
 	eng := sim.NewEngine()
 	dst := &countSink{}

@@ -278,6 +278,11 @@ type Link struct {
 	onSerializedFn func()
 	deliverFn      func()
 
+	// ser caches the engine lanes of the last two serialization times,
+	// one for data packets and one for header-only ones, so a hop looks
+	// a lane up only when its serialization time changes.
+	ser [2]laneCache
+
 	tr     *trace.Tracer
 	trPid  int32
 	trTid  int32
@@ -464,7 +469,28 @@ func (l *Link) transmitNext() {
 	// after latency + serialization. The packet parks on the inflight
 	// ring; onSerialized/deliver pair it back up in FIFO order.
 	l.inflight.push(p)
-	l.eng.At(end, l.onSerializedFn)
+	l.serLane(ser, wire == HeaderBytes).After(l.onSerializedFn)
+}
+
+// laneCache is a cached engine lane for one serialization time.
+type laneCache struct {
+	d    sim.Time
+	lane *sim.Lane
+}
+
+// serLane returns the engine's lane for serialization time d. A run sees
+// few distinct serialization times (one per packet size and bandwidth
+// scale), so the serialization end rides a fixed-delay lane instead of
+// the heap, in the same (at, seq) order.
+func (l *Link) serLane(d sim.Time, header bool) *sim.Lane {
+	c := &l.ser[0]
+	if header {
+		c = &l.ser[1]
+	}
+	if c.lane == nil || c.d != d {
+		c.d, c.lane = d, l.eng.Lane(d)
+	}
+	return c.lane
 }
 
 // onSerialized runs when the oldest in-flight packet finishes serializing:

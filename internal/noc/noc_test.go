@@ -462,3 +462,38 @@ func TestLinkSendWhileDownQueues(t *testing.T) {
 		t.Fatalf("post-repair delivery = %v, want one packet at 110ns", s.times)
 	}
 }
+
+// TestLinkHopsRideLanes: both events of a hop, the serialization end and
+// the delivery, ride engine lanes, for data and header-only packets and
+// across a bandwidth change, so N hops schedule 2N lane events and none on
+// the heap.
+func TestLinkHopsRideLanes(t *testing.T) {
+	eng := sim.NewEngine()
+	s := &sink{eng: eng}
+	last := NewLink(eng, "b", 450e9, 250*sim.Nanosecond, s)
+	first := NewLink(eng, "a", 450e9, 250*sim.Nanosecond, EndpointFunc(last.Send))
+	const packets, links = 40, 2
+	for i := 0; i < packets; i++ {
+		p := &Packet{Op: OpStore, Size: 8 << 10}
+		switch i % 4 {
+		case 1:
+			p.Op, p.Size = OpLoad, 0 // header-only
+		case 2:
+			p.Size = 100
+		}
+		if i == packets/2 {
+			first.SetBandwidthScale(0.5)
+		}
+		first.Send(p)
+	}
+	eng.Run()
+	if len(s.got) != packets {
+		t.Fatalf("delivered %d packets, want %d", len(s.got), packets)
+	}
+	if got, want := eng.LaneEvents(), uint64(2*packets*links); got != want {
+		t.Errorf("LaneEvents = %d, want %d (two per hop)", got, want)
+	}
+	if n := eng.HeapEvents(); n != 0 {
+		t.Errorf("HeapEvents = %d, want 0", n)
+	}
+}

@@ -1,13 +1,16 @@
 // Engine hot-path microbenchmarks. The event queues are the simulator's
 // innermost loop — every simulated request, kernel phase and sync crossing
 // is one push/pop pair — so these benchmarks pin low ns/event and zero
-// steady-state allocations per scheduled event, for the 4-ary heap and
-// for the fixed-delay lanes:
+// steady-state allocations per scheduled event, for the 4-ary heap, the
+// fixed-delay lanes and the streams:
 //
 //	go test -run='^$' -bench='BenchmarkEngine' -benchmem ./internal/sim/
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // nop is the scheduled body for queue-focused benchmarks: the work under
 // measurement is the heap, not the event.
@@ -88,6 +91,46 @@ func BenchmarkEngineLaneHold(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineManyLanes is the hold model at depth 1024 spread over 1,
+// 8 and 64 fixed-delay lanes (delays 1..64, like BenchmarkEngineHold1024):
+// the lane-head heap keeps the per-event cost nearly flat in the number of
+// lanes. A warm hold cycle must allocate nothing.
+func BenchmarkEngineManyLanes(b *testing.B) {
+	const depth = 1024
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("lanes=%d", k), func(b *testing.B) {
+			e := NewEngine()
+			lanes := make([]*Lane, k)
+			for i := range lanes {
+				lanes[i] = e.Lane(Time(1 + i*(64/k)))
+			}
+			remaining := 0
+			var arm func()
+			arm = func() {
+				if remaining > 0 {
+					remaining--
+					lanes[remaining%k].After(arm)
+				}
+			}
+			seed := func(events int) {
+				remaining = events
+				for i := 0; i < depth; i++ {
+					e.At(e.Now()+Time(i%64), arm)
+				}
+			}
+			hold := func() { seed(8 * depth); e.Run() }
+			hold() // warm: the rings and both heaps reach their sizes
+			if allocs := testing.AllocsPerRun(10, hold); allocs != 0 {
+				b.Fatalf("warm hold cycle allocates %.1f times, want 0", allocs)
+			}
+			seed(b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
+	}
+}
+
 // BenchmarkEngineHoldConcreteHeap is the queue-only counterpart of
 // BenchmarkEngineHold1024: the same pop+push cycle directly against the
 // 4-ary heap, isolating the queue from engine bookkeeping.
@@ -113,16 +156,29 @@ func BenchmarkEngineHoldConcreteHeap(b *testing.B) {
 // TestEngineSteadyStateAllocs proves the hot path allocates nothing per
 // event once the queues are warm: scheduling into and draining a warmed
 // engine must cost zero allocations per push/pop pair, on the heap, on a
-// fixed-delay lane and on the zero-delay lane.
+// fixed-delay lane, on the zero-delay lane, on a stream and across many
+// lanes at once.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	lane := e.Lane(3)
+	stream := e.Stream()
+	many := make([]*Lane, 64)
+	for i := range many {
+		many[i] = e.Lane(Time(10 + i))
+	}
+	allLanes := func() {
+		for _, l := range many {
+			l.After(nop)
+		}
+	}
 	// Warm the queues past their initial capacities so growth is behind us.
 	for i := 0; i < 2*initialHeapCap; i++ {
 		e.At(Time(i), nop)
 		lane.After(nop)
 		e.After(0, nop)
+		stream.At(Time(i), nop)
 	}
+	allLanes()
 	e.Run()
 	cases := []struct {
 		name     string
@@ -131,6 +187,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		{"heap", func() { e.At(e.Now()+1, nop) }},
 		{"lane", func() { lane.After(nop) }},
 		{"zero lane", func() { e.After(0, nop) }},
+		{"stream", func() { stream.At(e.Now()+1, nop) }},
+		{"64 lanes", allLanes},
 	}
 	for _, c := range cases {
 		allocs := testing.AllocsPerRun(1000, func() {

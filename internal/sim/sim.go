@@ -1,6 +1,6 @@
 // Package sim provides the discrete-event simulation engine used by every
 // other subsystem in the CAIS reproduction: a deterministic event queue
-// with picosecond resolution (a heap plus fixed-delay FIFO lanes), a
+// with picosecond resolution (a heap plus sorted FIFO lanes), a
 // splitmix64-based reproducible RNG, serialized resources for
 // bandwidth/occupancy accounting, and countdown latches for barrier
 // modeling.
@@ -231,25 +231,30 @@ func (h *eventHeap) siftDown(i int) {
 // bit-reproducible across runs and platforms.
 //
 // Events live in two kinds of queue: the heap, for events at arbitrary
-// instants, and fixed-delay lanes (see Lane), for events scheduled a
-// constant delay after the current time. RunUntil always executes the
-// smallest (at, seq) across the heap top and the lane heads, so which
-// queue holds an event never changes the execution order.
+// instants, and lanes (see Lane), sorted FIFOs for events whose times
+// never decrease in scheduling order. The non-empty lanes sit in a small
+// min-heap keyed by their heads, so RunUntil always executes the smallest
+// (at, seq) across the heap top and the lane heads at a cost independent
+// of the number of lanes, and which queue holds an event never changes
+// the execution order.
 type Engine struct {
 	now     Time
 	seq     uint64
 	steps   uint64
 	heap    eventHeap
-	lanes   []*Lane
-	zero    *Lane // the lane After(0) uses
+	heads   laneHeap       // the non-empty lanes, keyed by their heads
+	lanes   map[Time]*Lane // the fixed-delay lanes, by delay
+	zero    *Lane          // the lane After(0) uses
 	stopped bool
 	limit   uint64 // optional hard step limit guard; 0 disables
 
 	// Queue telemetry: events pending across heap and lanes, its
-	// high-water mark, and how many events were scheduled on lanes.
+	// high-water mark, and how many events were scheduled on lanes and
+	// on the heap.
 	queued     int
 	highWater  int
 	laneEvents uint64
+	heapEvents uint64
 
 	// observer is an opaque attachment slot for cross-cutting
 	// instrumentation (the trace package's Tracer hooks in here, so every
@@ -263,7 +268,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{}
+	e := &Engine{lanes: make(map[Time]*Lane)}
 	e.zero = e.Lane(0)
 	return e
 }
@@ -278,9 +283,13 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // lanes together.
 func (e *Engine) QueueHighWater() int { return e.highWater }
 
-// LaneEvents reports how many events were scheduled on fixed-delay lanes
-// (After with a non-positive delay included) rather than on the heap.
+// LaneEvents reports how many events were scheduled on lanes (After with
+// a non-positive delay included) rather than on the heap.
 func (e *Engine) LaneEvents() uint64 { return e.laneEvents }
+
+// HeapEvents reports how many events were scheduled on the heap, a lane's
+// fallbacks included. LaneEvents plus HeapEvents is every event scheduled.
+func (e *Engine) HeapEvents() uint64 { return e.heapEvents }
 
 // SetStepLimit installs a guard that aborts Run with a panic after n events.
 // It exists to turn accidental event loops in tests into immediate failures
@@ -315,6 +324,7 @@ func (e *Engine) At(t Time, fn func()) {
 	}
 	e.seq++
 	e.heap.push(event{at: t, seq: e.seq, fn: fn})
+	e.heapEvents++
 	e.noteQueued()
 }
 
@@ -340,15 +350,22 @@ func (e *Engine) noteQueued() {
 	}
 }
 
-// Lane is a FIFO of events that all run one fixed delay after they were
-// scheduled. Scheduled in order, their times now+d never decrease (the
-// clock only moves forward) and their sequence numbers strictly increase,
-// so the FIFO is already sorted by (at, seq): pushing and popping it costs
-// O(1) where the heap costs O(log n), and the execution order is the one
-// the heap would have produced.
+// Lane is a FIFO of events whose times never decrease in scheduling
+// order. Their sequence numbers strictly increase too, so the FIFO is
+// already sorted by (at, seq): pushing and popping it costs O(1) where the
+// heap costs O(log n), and the execution order is the one the heap would
+// have produced. An event that would break the order (an instant below
+// the lane's newest event) goes to the heap instead, so a lane is only
+// ever a speed-up, never a change of behaviour.
 //
-// Get a lane with Engine.Lane once, at construction, and schedule through
-// it on the hot path.
+// Two kinds of caller keep their times sorted. A fixed-delay lane
+// (Engine.Lane) is shared by every caller with that delay: now+d never
+// decreases because the clock only moves forward. A stream
+// (Engine.Stream) is private to one caller whose absolute times are
+// monotone by construction, such as the ends of a serialized Resource.
+//
+// Get a lane once, at construction, and schedule through it on the hot
+// path.
 type Lane struct {
 	eng  *Engine
 	d    Time
@@ -356,43 +373,120 @@ type Lane struct {
 	last Time // the newest event's time
 }
 
-// Lane returns the engine's lane for delay d, creating it on first use.
-// There is one lane per delay, so every caller with the same delay shares
-// it. Negative delays clamp to zero.
+// Lane returns the engine's fixed-delay lane for delay d, creating it on
+// first use. There is one lane per delay, so every caller with the same
+// delay shares it. Negative delays clamp to zero.
 func (e *Engine) Lane(d Time) *Lane {
 	if d < 0 {
 		d = 0
 	}
-	for _, l := range e.lanes {
-		if l.d == d {
-			return l
-		}
+	l := e.lanes[d]
+	if l == nil {
+		l = &Lane{eng: e, d: d}
+		e.lanes[d] = l
 	}
-	l := &Lane{eng: e, d: d}
-	e.lanes = append(e.lanes, l)
 	return l
 }
 
+// Stream returns a new lane private to one caller, for events at
+// absolute times that never decrease (Lane.At). Its delay is zero.
+func (e *Engine) Stream() *Lane { return &Lane{eng: e} }
+
 // After schedules fn to run the lane's delay after the current time. It
 // behaves exactly like Engine.After with that delay. When now+d would pass
-// MaxTime, or a RunUntil deadline rewound the clock below the lane's newest
-// event, the event goes to the heap instead, which keeps the lane sorted.
+// MaxTime the event saturates on the heap, like Engine.After.
 func (l *Lane) After(fn func()) {
 	e := l.eng
 	if l.d > MaxTime-e.now {
 		e.At(MaxTime, fn)
 		return
 	}
-	at := e.now + l.d
-	if at < l.last {
-		e.At(at, fn)
+	l.At(e.now+l.d, fn)
+}
+
+// At schedules fn at absolute time t and behaves exactly like Engine.At.
+// When t is below the lane's newest event (a caller out of order, or a
+// RunUntil deadline that rewound the clock) the event goes to the heap,
+// which keeps the lane sorted.
+func (l *Lane) At(t Time, fn func()) {
+	e := l.eng
+	if t < l.last || t < e.now {
+		e.At(t, fn) // panics on the past
 		return
 	}
 	e.seq++
-	l.q.PushBack(event{at: at, seq: e.seq, fn: fn})
-	l.last = at
+	ev := event{at: t, seq: e.seq, fn: fn}
+	if l.q.Len() == 0 {
+		e.heads.push(laneHead{head: ev, lane: l})
+	}
+	l.q.PushBack(ev)
+	l.last = t
 	e.laneEvents++
 	e.noteQueued()
+}
+
+// laneHead is one non-empty lane in the engine's lane-head heap, keyed by
+// a copy of its head event.
+type laneHead struct {
+	head event
+	lane *Lane
+}
+
+// laneHeap is a binary min-heap of the non-empty lanes. A lane enters it
+// when its first event is pushed and leaves when its last is popped; a
+// push behind a head leaves it alone, so the heap holds one entry per
+// non-empty lane and is touched only when a lane's head changes.
+type laneHeap []laneHead
+
+func (h *laneHeap) push(x laneHead) {
+	*h = append(*h, x)
+	a := *h
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.head.before(&a[p].head) {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = x
+}
+
+// advance re-keys the top lane after its head was popped: it takes the
+// lane's new head, or leaves the heap when the lane is empty.
+func (h *laneHeap) advance() {
+	a := *h
+	x := a[0]
+	if x.lane.q.Len() > 0 {
+		x.head = x.lane.q.Head()
+	} else {
+		n := len(a) - 1
+		x = a[n]
+		a[n] = laneHead{}
+		a = a[:n]
+		*h = a
+		if n == 0 {
+			return
+		}
+	}
+	// Sift x down from the root through a hole.
+	i, n := 0, len(a)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && a[c+1].head.before(&a[c].head) {
+			c++
+		}
+		if !a[c].head.before(&x.head) {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	a[i] = x
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -412,18 +506,27 @@ func (e *Engine) Run() Time {
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	for !e.stopped {
-		ev, lane, ok := e.next()
-		if !ok {
-			break
+		// The earliest pending event is the heap top or the head of the
+		// lane on top of the lane-head heap.
+		var ev event
+		var lane *Lane
+		switch {
+		case len(e.heads) > 0 && (e.heap.len() == 0 || e.heads[0].head.before(e.heap.min())):
+			ev, lane = e.heads[0].head, e.heads[0].lane
+		case e.heap.len() > 0:
+			ev = *e.heap.min()
+		default:
+			return e.now
 		}
 		if deadline >= 0 && ev.at > deadline {
 			e.now = deadline
 			return e.now
 		}
-		if lane == nil {
-			e.heap.pop()
-		} else {
+		if lane != nil {
 			lane.q.PopFront()
+			e.heads.advance()
+		} else {
+			e.heap.pop()
 		}
 		e.queued--
 		e.now = ev.at
@@ -437,24 +540,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		ev.fn()
 	}
 	return e.now
-}
-
-// next returns the earliest pending event across the heap top and the
-// lane heads, with the lane holding it (nil for the heap); ok is false
-// when nothing is pending.
-func (e *Engine) next() (best event, from *Lane, ok bool) {
-	if e.heap.len() > 0 {
-		best, ok = *e.heap.min(), true
-	}
-	for _, l := range e.lanes {
-		if l.q.Len() == 0 {
-			continue
-		}
-		if h := l.q.Head(); !ok || h.before(&best) {
-			best, from, ok = h, l, true
-		}
-	}
-	return best, from, ok
 }
 
 // Pending reports how many events are queued, heap and lanes together.

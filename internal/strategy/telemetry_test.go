@@ -92,8 +92,8 @@ func TestTelemetrySnapshotInResult(t *testing.T) {
 }
 
 // TestTelemetryQueueGauges: the engine's queue gauges reach the snapshot.
-// Every lane event is executed by the end of the run, so lane_events is
-// bounded by sim.steps.
+// Every event is executed by the end of the run, so lane_events and
+// heap_events split sim.steps.
 func TestTelemetryQueueGauges(t *testing.T) {
 	res, err := RunLayersOpts(tinyHW(), CAIS(), tinyModel(), false, 1, Options{})
 	if err != nil {
@@ -104,7 +104,9 @@ func TestTelemetryQueueGauges(t *testing.T) {
 	if v := snap.Value("sim.queue_high_water"); v < 1 || v > steps {
 		t.Errorf("sim.queue_high_water = %v, want in [1, %v]", v, steps)
 	}
-	if v := snap.Value("sim.lane_events"); v <= 0 || v > steps {
-		t.Errorf("sim.lane_events = %v, want in (0, %v]", v, steps)
+	lanes, heap := snap.Value("sim.lane_events"), snap.Value("sim.heap_events")
+	if lanes <= 0 || heap <= 0 || lanes+heap != steps {
+		t.Errorf("sim.lane_events %v + sim.heap_events %v, want both > 0 and summing to sim.steps %v",
+			lanes, heap, steps)
 	}
 }
