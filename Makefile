@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt lint lint-sarif race resilience-smoke parallel-smoke attrib-smoke serving-smoke profile clean
+.PHONY: all build test check vet fmt lint lint-sarif race resilience-smoke parallel-smoke attrib-smoke serving-smoke clean
 
 all: check
 
@@ -57,13 +57,6 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 check: fmt vet lint test race resilience-smoke attrib-smoke serving-smoke
-
-# profile: CPU + allocation profiles of the hot path (the three workloads
-# the allocation ceilings pin) via scripts/profile.sh; pprof files land in
-# profiles/ and the top allocation sites print inline. CI uploads the
-# directory as a non-gating artifact.
-profile: build
-	sh scripts/profile.sh
 
 clean:
 	$(GO) clean ./...

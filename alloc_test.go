@@ -7,16 +7,20 @@ import (
 )
 
 // Allocation ceilings for the three benchmark workloads the pooling
-// overhauls target (see DESIGN.md §10). The PR-5 pooling pass halved the
+// overhauls target (see DESIGN.md §10). The first pooling pass halved the
 // original baseline (Fig17 13.18M, Table2 7.44M, Fig13b 4.49M
 // allocs/op); the zero-alloc kernel-construction pass (tile
-// arenas, pooled latches and dependency records, interned tile sets, the
-// single-slot TB continuation) cut the remainder to under a tenth of the
-// original. Ceilings sit ~10% above the post-overhaul measurement
-// (Fig17 1,235,823 / Table2 695,539 / Fig13b 488,819), so a change that
-// reintroduces per-TB or per-registration allocation trips these before
-// it reaches a benchmark diff.
-// The ceilings double as the attribution PR's disabled-path guard: none of
+// arenas, pooled dependency records, interned tile sets, the single-slot
+// TB continuation) cut the remainder to under a tenth of the original.
+// The ceilings were set ~10% above the post-overhaul measurement (Fig17
+// 1,235,823 / Table2 695,539 / Fig13b 488,819). Deleting the five free
+// lists that did not pay for themselves (DESIGN.md §10, "Pools on
+// trial") left the measurement at Fig17 1,233,518 / Table2 690,545 /
+// Fig13b 493,259 (1,323,233 / 714,714 / 522,193 under -race), under the
+// unchanged ceilings, so a change that
+// reintroduces per-TB or per-registration allocation still trips these
+// before it reaches a benchmark diff.
+// The ceilings double as the attribution layer's disabled-path guard: none of
 // these configs set Config.Attrib or Options.UtilBin, so a change that
 // makes the off-by-default observability layer allocate (an eagerly built
 // tracer, an unconditional recorder) trips them immediately.

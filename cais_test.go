@@ -1,6 +1,7 @@
 package cais_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -79,6 +80,22 @@ func TestFacadeServing(t *testing.T) {
 	sum := cais.EvaluateServing(res, cais.ServingSLO{})
 	if sum.SLOMet != w.Requests || sum.GoodputRPS <= 0 {
 		t.Fatalf("unbounded SLO: met %d/%d, goodput %g", sum.SLOMet, sum.Requests, sum.GoodputRPS)
+	}
+}
+
+// TestFacadeServingRejectsBadRate: a non-finite or vanishing arrival rate
+// is an error from RunServing, not a panic or a negative latency.
+func TestFacadeServingRejectsBadRate(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 1e-300} {
+		w := cais.ServingWorkload{
+			Requests:   4,
+			RatePerSec: rate,
+			Prompt:     cais.ServingUniform(32, 64),
+			Output:     cais.ServingUniform(2, 4),
+		}
+		if _, err := cais.RunServing(fastHW(), cais.CAIS(), tiny(), 1, w, cais.NewMemoCache()); err == nil {
+			t.Errorf("rate %g accepted", rate)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -136,7 +137,18 @@ type experimentRun struct {
 	attribTrace string
 }
 
+// checkServingFlag rejects a serving flag value that is negative, NaN or
+// infinite; 0 is the only value that selects the default.
+func checkServingFlag(name string, v float64, want string) {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		fmt.Fprintf(os.Stderr, "-%s %g: want %s (0 = default)\n", name, v, want)
+		os.Exit(2)
+	}
+}
+
 func runExperiments(r experimentRun) {
+	checkServingFlag("arrival-rate", r.arrivalRate, "a positive, finite rate in requests/second")
+	checkServingFlag("slo", r.sloMs, "a positive, finite latency bound in milliseconds")
 	cfg := cais.DefaultExperiments()
 	if r.quick {
 		cfg = cais.QuickExperiments()

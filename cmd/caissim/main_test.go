@@ -43,6 +43,31 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 	return 0, ""
 }
 
+// TestServingFlagsRejectBadValues: only 0 selects a serving default. A
+// negative, NaN or infinite -arrival-rate or -slo is bad usage naming the
+// flag, and a rate too low for simulated time is an error, not a run.
+func TestServingFlagsRejectBadValues(t *testing.T) {
+	cases := []struct {
+		flag, value string
+		code        int
+		want        string
+	}{
+		{"-slo", "NaN", 2, "-slo"},
+		{"-slo", "-1", 2, "-slo"},
+		{"-slo", "+Inf", 2, "-slo"},
+		{"-arrival-rate", "-5", 2, "-arrival-rate"},
+		{"-arrival-rate", "NaN", 2, "-arrival-rate"},
+		{"-arrival-rate", "-Inf", 2, "-arrival-rate"},
+		{"-arrival-rate", "1e-300", 1, "arrival rate 1e-300"},
+	}
+	for _, tc := range cases {
+		code, stderr := runCLI(t, "-experiment", "serving", "-quick", tc.flag, tc.value)
+		if code != tc.code || !strings.Contains(stderr, tc.want) || strings.Contains(stderr, "panic") {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit %d mentioning %q", tc.flag, tc.value, code, stderr, tc.code, tc.want)
+		}
+	}
+}
+
 func TestLayersBelowOneIsUsageError(t *testing.T) {
 	for _, layers := range []string{"0", "-3"} {
 		code, stderr := runCLI(t, "-strategy", "CAIS", "-layers", layers)

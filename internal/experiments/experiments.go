@@ -45,13 +45,14 @@ type Config struct {
 	// are identical either way, only the run count changes.
 	Memo *memo.Cache
 
-	// ServingRate, when positive, collapses the serving experiment's
+	// ServingRate, when nonzero, collapses the serving experiment's
 	// arrival-rate sweep to this single rate in requests/second (caissim
-	// -arrival-rate).
+	// -arrival-rate). A rate the workload cannot run is an error.
 	ServingRate float64
 
-	// ServingSLOMs, when positive, overrides the serving experiment's
-	// end-to-end latency SLO in milliseconds (caissim -slo).
+	// ServingSLOMs, when nonzero, overrides the serving experiment's
+	// end-to-end latency SLO in milliseconds (caissim -slo). It must be
+	// positive and finite.
 	ServingSLOMs float64
 
 	// Metrics, when set, receives per-request serving latency histograms

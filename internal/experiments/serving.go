@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"cais/internal/config"
 	"cais/internal/faults"
@@ -72,7 +73,7 @@ func (c Config) servingWorkload(rate float64) serve.Workload {
 // one rate comfortably under capacity, one near it, one past saturation.
 // caissim -arrival-rate collapses the sweep to a single rate.
 func (c Config) servingRates() []float64 {
-	if c.ServingRate > 0 {
+	if c.ServingRate != 0 {
 		return []float64{c.ServingRate}
 	}
 	if c.Quick {
@@ -83,16 +84,17 @@ func (c Config) servingRates() []float64 {
 
 // servingSLO is the end-to-end latency objective; caissim -slo overrides the
 // fidelity default.
-func (c Config) servingSLO() serve.SLO {
+func (c Config) servingSLO() (serve.SLO, error) {
 	msBound := c.ServingSLOMs
-	if msBound <= 0 {
-		if c.Quick {
-			msBound = 10
-		} else {
-			msBound = 750
-		}
+	switch {
+	case msBound < 0 || math.IsNaN(msBound) || math.IsInf(msBound, 0):
+		return serve.SLO{}, fmt.Errorf("serving: SLO %g ms, want a positive, finite bound", msBound)
+	case msBound == 0 && c.Quick:
+		msBound = 10
+	case msBound == 0:
+		msBound = 750
 	}
-	return serve.SLO{E2E: sim.Scale(sim.Millisecond, msBound)}
+	return serve.SLO{E2E: sim.Scale(sim.Millisecond, msBound)}, nil
 }
 
 // servingScenario is one fault scenario of the goodput study.
@@ -133,7 +135,10 @@ func servingScenarios(hw config.Hardware, quick bool) []servingScenario {
 func Serving(c Config) (*ServingResult, error) {
 	specs := resilienceStrategies()
 	rates := c.servingRates()
-	slo := c.servingSLO()
+	slo, err := c.servingSLO()
+	if err != nil {
+		return nil, err
+	}
 	hw := c.e2eHW()
 	base := c.servingModel()
 	scenarios := servingScenarios(hw, c.Quick)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -80,6 +81,34 @@ func TestServingRateAndSLOOverrides(t *testing.T) {
 	}
 	if !strings.Contains(out, "500 rps") {
 		t.Errorf("fault table header missing the 500 rps rate:\n%s", out)
+	}
+}
+
+// TestServingRejectsBadOverrides: only 0 selects a default. A negative,
+// NaN or infinite override, or a rate too low for simulated time, is an
+// error, never a silent default sweep or a panic.
+func TestServingRejectsBadOverrides(t *testing.T) {
+	cases := []struct {
+		name      string
+		rate, slo float64
+	}{
+		{"slo-nan", 0, math.NaN()},
+		{"slo-negative", 0, -1},
+		{"slo-inf", 0, math.Inf(1)},
+		{"rate-negative", -5, 0},
+		{"rate-nan", math.NaN(), 0},
+		{"rate-inf", math.Inf(1), 0},
+		{"rate-underflow", 1e-300, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Quick()
+			c.Workers = 1
+			c.ServingRate, c.ServingSLOMs = tc.rate, tc.slo
+			if _, err := Serving(c); err == nil {
+				t.Errorf("rate %g, SLO %g ms accepted", tc.rate, tc.slo)
+			}
+		})
 	}
 }
 

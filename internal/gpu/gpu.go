@@ -129,17 +129,6 @@ func (g *GPU) ConnectUp(plane int, link *noc.Link) { g.up[plane] = link }
 // allocation.
 func (g *GPU) SetPacketPool(pp *noc.PacketPool) { g.pkts = pp }
 
-// PoolStats sums Get traffic, fresh allocations and idle entries across
-// the GPU's typed free lists (access contexts, chunk credits, TB runs).
-// The shared packet pool is excluded — the machine reports it once.
-func (g *GPU) PoolStats() (gets, news, idle int) {
-	for _, p := range []interface{ Stats() (int, int, int) }{&g.ctxs, &g.credits, &g.runs} {
-		pg, pn, pi := p.Stats()
-		gets, news, idle = gets+pg, news+pn, idle+pi
-	}
-	return
-}
-
 // SetGroupRouter installs a fault-aware sync routing function (see
 // Synchronizer.Wait). The assembly layer points this at the machine's
 // plane-liveness-aware hash; standalone GPUs keep the static default.

@@ -6,6 +6,7 @@ import (
 	"cais/internal/gpu"
 	"cais/internal/kernel"
 	"cais/internal/noc"
+	"cais/internal/sim"
 	"cais/internal/trace"
 )
 
@@ -36,13 +37,18 @@ func (m *Machine) launchKernel(k *kernel.Kernel, wave int, onDone func()) {
 		traceID = m.tr.NextID()
 		m.tr.BeginAsync(trace.PIDMachine, "kernel", k.Name, traceID, span.Start)
 	}
-	// A pooled latch counts per-GPU completions into one pooled
-	// completion record: the per-kernel closures this replaces were the
-	// largest machine-layer allocation after the tile tracker.
-	done := m.getKernelDone()
-	done.span, done.traceID, done.onDone = span, traceID, onDone
-	latch := m.latches.Get(len(m.GPUs), done.fireFn)
-	doneFn := latch.DoneFunc()
+	// The latch counts per-GPU completions; its release closes the span.
+	latch := sim.NewLatch(len(m.GPUs))
+	latch.OnRelease(func() {
+		span.End = m.Eng.Now()
+		if traceID != 0 {
+			m.tr.EndAsync(trace.PIDMachine, "kernel", span.Name, traceID, span.End)
+		}
+		if onDone != nil {
+			onDone()
+		}
+	})
+	doneFn := latch.Done
 	launches := m.launchScratch[:0]
 	for g := range m.GPUs {
 		launches = append(launches, m.GPUs[g].Launch(k, gpu.LaunchOpts{
@@ -103,10 +109,11 @@ func (m *Machine) LaunchAll(kernels []*kernel.Kernel, onDone func()) {
 	}
 	m.nextWave++
 	wave := m.nextWave
-	// One pooled latch counts the batch: each kernel's completion record
-	// holds the latch's cached Done method value as its onDone.
-	batch := m.latches.Get(len(kernels), onDone)
-	bdone := batch.DoneFunc()
+	batch := sim.NewLatch(len(kernels))
+	if onDone != nil {
+		batch.OnRelease(onDone)
+	}
+	bdone := batch.Done
 	for _, k := range kernels {
 		m.launchKernel(k, wave, bdone)
 	}

@@ -72,9 +72,7 @@ type Machine struct {
 	accs     pool.Arena[kernel.Access] // TB descriptor access slices
 	deps     pool.Pool[tbDep]          // tile-tracker dependency records
 	depLists [][]*tbDep                // recycled waiter backing arrays
-	kdones   pool.Pool[kernelDone]     // per-kernel completion records
 	contribs pool.Pool[contribState]   // reduction contribution counters
-	latches  sim.LatchPool             // kernel/batch completion latches
 
 	// tbRetireFn is the one retire callback shared by every launch: the
 	// retiring TB's Out tile arrives as an argument, so nothing needs to
@@ -180,54 +178,6 @@ func (d *tbDep) reset() {
 	d.launch = nil
 	d.tb = 0
 	d.pending = 0
-}
-
-// kernelDone carries one kernel's completion bookkeeping (span close,
-// trace end, caller callback); the pooled launch latch fires it when the
-// kernel has retired on every GPU. The m back-pointer and cached fire
-// method value are installed once per object lifetime.
-type kernelDone struct {
-	m       *Machine
-	span    *KernelSpan
-	traceID uint64
-	onDone  func()
-	fireFn  func()
-}
-
-// reset clears per-kernel state for pool reuse; the m back-pointer and
-// cached fireFn are the object's identity and survive (caislint:
-// poolreset).
-func (d *kernelDone) reset() {
-	d.span = nil
-	d.traceID = 0
-	d.onDone = nil
-}
-
-// fire closes the kernel's span and runs the caller's completion. The
-// record recycles itself first so the callback may immediately launch the
-// next kernel through a fresh record.
-func (d *kernelDone) fire() {
-	m, span, traceID, onDone := d.m, d.span, d.traceID, d.onDone
-	d.reset()
-	m.kdones.Put(d)
-	span.End = m.Eng.Now()
-	if traceID != 0 {
-		m.tr.EndAsync(trace.PIDMachine, "kernel", span.Name, traceID, span.End)
-	}
-	if onDone != nil {
-		onDone()
-	}
-}
-
-// getKernelDone pops a recycled completion record and (first time only)
-// installs its identity.
-func (m *Machine) getKernelDone() *kernelDone {
-	d := m.kdones.Get()
-	if d.m == nil {
-		d.m = m
-		d.fireFn = d.fire
-	}
-	return d
 }
 
 // AccessArena exposes the per-run access-slice arena to the workload
@@ -427,48 +377,6 @@ func (m *Machine) registerGauges() {
 		return float64(n)
 	})
 	m.reg.GaugeFunc("machine.kernels_launched", func() float64 { return float64(len(m.KernelSpans)) })
-
-	// Free-list health: Get traffic, fresh allocations and idle entries per
-	// pool family. A steady-state run re-serves the same objects, so
-	// allocs plateauing while gets keep climbing is the healthy signature
-	// (DESIGN.md §10); these gauges surface it in -metrics-json.
-	m.reg.GaugeFunc("pool.packets.gets", func() float64 { g, _, _ := m.pkts.Stats(); return float64(g) })
-	m.reg.GaugeFunc("pool.packets.allocs", func() float64 { _, n, _ := m.pkts.Stats(); return float64(n) })
-	m.reg.GaugeFunc("pool.packets.idle", func() float64 { _, _, i := m.pkts.Stats(); return float64(i) })
-	gpuPools := func() (gets, news, idle int) {
-		for _, g := range m.GPUs {
-			pg, pn, pi := g.PoolStats()
-			gets, news, idle = gets+pg, news+pn, idle+pi
-		}
-		return
-	}
-	m.reg.GaugeFunc("pool.gpu.gets", func() float64 { g, _, _ := gpuPools(); return float64(g) })
-	m.reg.GaugeFunc("pool.gpu.allocs", func() float64 { _, n, _ := gpuPools(); return float64(n) })
-	m.reg.GaugeFunc("pool.gpu.idle", func() float64 { _, _, i := gpuPools(); return float64(i) })
-	swPools := func() (gets, news, idle int) {
-		for _, sw := range m.Switches {
-			sg, sn, si := sw.PoolStats()
-			gets, news, idle = gets+sg, news+sn, idle+si
-		}
-		return
-	}
-	m.reg.GaugeFunc("pool.nvswitch.gets", func() float64 { g, _, _ := swPools(); return float64(g) })
-	m.reg.GaugeFunc("pool.nvswitch.allocs", func() float64 { _, n, _ := swPools(); return float64(n) })
-	m.reg.GaugeFunc("pool.nvswitch.idle", func() float64 { _, _, i := swPools(); return float64(i) })
-	machinePools := func() (gets, news, idle int) {
-		for _, p := range []interface{ Stats() (int, int, int) }{&m.deps, &m.kdones, &m.contribs, &m.latches} {
-			g, n, i := p.Stats()
-			gets, news, idle = gets+g, news+n, idle+i
-		}
-		return
-	}
-	m.reg.GaugeFunc("pool.machine.gets", func() float64 { g, _, _ := machinePools(); return float64(g) })
-	m.reg.GaugeFunc("pool.machine.allocs", func() float64 { _, n, _ := machinePools(); return float64(n) })
-	m.reg.GaugeFunc("pool.machine.idle", func() float64 { _, _, i := machinePools(); return float64(i) })
-	// Arena health: chunks is the real heap footprint; elems keeps climbing
-	// with work done, so elems/chunk >> arenaChunk means healthy reuse.
-	m.reg.GaugeFunc("arena.accs.chunks", func() float64 { c, _, _ := m.accs.Stats(); return float64(c) })
-	m.reg.GaugeFunc("arena.accs.elems", func() float64 { _, _, e := m.accs.Stats(); return float64(e) })
 }
 
 // Metrics exposes the machine's central metric registry.

@@ -497,3 +497,52 @@ func TestLinkHopsRideLanes(t *testing.T) {
 		t.Errorf("HeapEvents = %d, want 0", n)
 	}
 }
+
+// TestLinkPopIdleReturnsNil: the arbiter hands out each queued packet once
+// and then reports an idle link with nil, for the FIFO, the per-class
+// virtual channels and the control sideband alike. transmitNext relies on
+// the nil to go idle instead of booking a phantom packet.
+func TestLinkPopIdleReturnsNil(t *testing.T) {
+	cases := []struct {
+		name string
+		vc   bool
+		op   Op
+	}{
+		{"vcs-off", false, OpStore},
+		{"vcs-on", true, OpStore},
+		{"control-sideband", true, OpLdCAIS},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, l, s := newTestLink(100e9, 0)
+			l.SetVirtualChannels(tc.vc)
+			if p := l.pop(); p != nil {
+				t.Fatalf("fresh link pop = %v, want nil", p)
+			}
+			// A down link queues without transmitting, so pop sees the
+			// queue as Send left it.
+			l.SetDown(true)
+			want := &Packet{Op: tc.op, Size: 984}
+			l.Send(want)
+			if got := l.pop(); got != want {
+				t.Fatalf("pop = %v, want the queued packet", got)
+			}
+			if p := l.pop(); p != nil {
+				t.Fatalf("drained link pop = %v, want nil", p)
+			}
+			// Traffic that flows and drains leaves the link idle too.
+			l.SetDown(false)
+			eng.At(0, func() {
+				l.Send(&Packet{Op: tc.op, Size: 984})
+				l.Send(&Packet{Op: tc.op, Size: 984})
+			})
+			eng.Run()
+			if len(s.got) != 2 || l.busy {
+				t.Fatalf("delivered %d packets, busy=%v; want 2 and idle", len(s.got), l.busy)
+			}
+			if p := l.pop(); p != nil {
+				t.Fatalf("pop after drain = %v, want nil", p)
+			}
+		})
+	}
+}

@@ -38,12 +38,3 @@ func (pp *PacketPool) Put(p *Packet) {
 	p.reset()
 	pp.p.Put(p)
 }
-
-// Stats reports pool traffic (total gets, fresh allocations, free-list
-// depth); nil pools report zeros.
-func (pp *PacketPool) Stats() (gets, news, idle int) {
-	if pp == nil {
-		return 0, 0, 0
-	}
-	return pp.p.Stats()
-}

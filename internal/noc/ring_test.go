@@ -1,9 +1,18 @@
 package noc
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"cais/internal/pool"
+)
+
+// The link queues are pool.Ring[*Packet]; these tests pin the queue
+// behaviour Link.Send and the arbiter depend on, at the packet type.
 
 func TestRingFIFOAcrossWrap(t *testing.T) {
-	var r ring
+	var r pool.Ring[*Packet]
 	pkts := make([]*Packet, 100)
 	for i := range pkts {
 		pkts[i] = &Packet{ID: uint64(i)}
@@ -12,16 +21,16 @@ func TestRingFIFOAcrossWrap(t *testing.T) {
 	// several times at small capacity.
 	next := 0
 	for i, p := range pkts {
-		r.push(p)
+		r.PushBack(p)
 		if i%3 == 2 {
-			if got := r.pop(); got != pkts[next] {
+			if got := r.PopFront(); got != pkts[next] {
 				t.Fatalf("pop %d: got ID %d want %d", next, got.ID, pkts[next].ID)
 			}
 			next++
 		}
 	}
-	for r.len() > 0 {
-		if got := r.pop(); got != pkts[next] {
+	for r.Len() > 0 {
+		if got := r.PopFront(); got != pkts[next] {
 			t.Fatalf("drain pop %d: got ID %d want %d", next, got.ID, pkts[next].ID)
 		}
 		next++
@@ -29,59 +38,54 @@ func TestRingFIFOAcrossWrap(t *testing.T) {
 	if next != len(pkts) {
 		t.Fatalf("drained %d packets, want %d", next, len(pkts))
 	}
-	if r.pop() != nil {
-		t.Fatalf("pop on empty ring should return nil")
+	if r.Len() != 0 {
+		t.Fatalf("drained ring reports Len %d, want 0", r.Len())
 	}
 }
 
 func TestRingPopClearsSlot(t *testing.T) {
-	var r ring
-	r.push(&Packet{ID: 1})
-	r.pop()
-	for i, p := range r.buf {
-		if p != nil {
-			t.Fatalf("slot %d still holds a packet after pop", i)
+	var r pool.Ring[*Packet]
+	collected := make(chan struct{})
+	p := &Packet{ID: 1}
+	runtime.SetFinalizer(p, func(*Packet) { close(collected) })
+	r.PushBack(p)
+	p = nil
+	r.PopFront()
+	// The ring stays reachable; only a stale slot could keep the packet
+	// alive and its finalizer from running.
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(&r)
+			return
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
+	runtime.KeepAlive(&r)
+	t.Fatalf("popped packet still reachable through the ring")
 }
 
 func TestRingSteadyStateZeroAlloc(t *testing.T) {
-	var r ring
+	var r pool.Ring[*Packet]
 	p := &Packet{}
 	// Warm to an 8-deep burst so the backing array reaches its high-water
 	// capacity, then verify churn at that depth never reallocates.
 	for i := 0; i < 8; i++ {
-		r.push(p)
+		r.PushBack(p)
 	}
-	for r.len() > 0 {
-		r.pop()
+	for r.Len() > 0 {
+		r.PopFront()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 8; i++ {
-			r.push(p)
+			r.PushBack(p)
 		}
 		for j := 0; j < 8; j++ {
-			r.pop()
+			r.PopFront()
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ring churn allocates %v allocs/op, want 0", allocs)
-	}
-}
-
-// BenchmarkRingEnqueueDequeue measures the per-class queue churn pattern
-// Link.Send/pop exercise: bursts of enqueues drained in FIFO order. The
-// ring reuses its backing array (0 allocs/op at steady state).
-func BenchmarkRingEnqueueDequeue(b *testing.B) {
-	var r ring
-	p := &Packet{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 16; j++ {
-			r.push(p)
-		}
-		for j := 0; j < 16; j++ {
-			r.pop()
-		}
 	}
 }

@@ -97,9 +97,6 @@ type mergeRespTag struct {
 	orig interface{}
 }
 
-// reset clears the tag for pool reuse (caislint: poolreset).
-func (t *mergeRespTag) reset() { *t = mergeRespTag{} }
-
 // EvictionPolicy selects the victim-selection rule under capacity
 // pressure. The paper uses LRU; the alternatives exist for the design
 // ablation (DESIGN.md: ablation benches for called-out design choices).
@@ -152,11 +149,9 @@ type MergeUnit struct {
 	pid      int32
 
 	// pkts is the run-wide packet free list (nil degrades to allocation);
-	// the session/tag pools are private to this port.
-	pkts      *noc.PacketPool
-	sessPool  pool.Pool[session]
-	respTags  pool.Pool[mergeRespTag]
-	plainTags pool.Pool[plainLoadTag]
+	// the session pool is private to this port.
+	pkts     *noc.PacketPool
+	sessPool pool.Pool[session]
 }
 
 // getSession hands out a pooled merging-table entry, installing the owning
@@ -301,8 +296,7 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 	m.insert(s)
 	m.stats.loadFetches.Inc()
 	// Forward the fetch to the home GPU through the standard routing path.
-	tag := m.respTags.Get()
-	tag.unit, tag.addr, tag.orig = m, p.Addr, p.Tag
+	tag := &mergeRespTag{unit: m, addr: p.Addr, orig: p.Tag}
 	fetch := m.pkts.Get()
 	fetch.ID, fetch.Op, fetch.Addr, fetch.Home = m.id(), noc.OpLoad, p.Addr, p.Home
 	fetch.Src, fetch.Dst, fetch.Size, fetch.Group = p.Src, p.Home, p.Size, p.Group
@@ -316,13 +310,10 @@ func (m *MergeUnit) HandleLoad(p *noc.Packet) {
 // subsequent hits from the cache.
 func (m *MergeUnit) HandleResponse(p *noc.Packet, tag *mergeRespTag) {
 	s, ok := m.sessions[tag.addr]
-	orig := tag.orig
-	tag.reset()
-	m.respTags.Put(tag)
 	if !ok {
 		// Session was force-released (timeout after flush); deliver to the
 		// original requester only, with its completion context restored.
-		p.Tag = orig
+		p.Tag = tag.orig
 		m.sendDown(p.Dst, p)
 		return
 	}
@@ -373,8 +364,7 @@ func (m *MergeUnit) respond(s *session, req *noc.Packet) {
 // the response routes straight back (no caching, no table entry). Per
 // Sec. III-A-4 this path avoids thrashing when the table is saturated.
 func (m *MergeUnit) forwardPlainLoad(p *noc.Packet) {
-	tag := m.plainTags.Get()
-	tag.unit, tag.requester, tag.onDone, tag.orig = m, p.Src, p.OnDone, p.Tag
+	tag := &plainLoadTag{requester: p.Src, onDone: p.OnDone, orig: p.Tag}
 	fetch := m.pkts.Get()
 	fetch.ID, fetch.Op, fetch.Addr, fetch.Home = m.id(), noc.OpLoad, p.Addr, p.Home
 	fetch.Src, fetch.Dst, fetch.Size, fetch.Group = p.Src, p.Home, p.Size, p.Group
@@ -385,14 +375,10 @@ func (m *MergeUnit) forwardPlainLoad(p *noc.Packet) {
 // plainLoadTag marks a bypassed load so the home GPU's response routes to
 // the requester without touching the merge unit.
 type plainLoadTag struct {
-	unit      *MergeUnit
 	requester int
 	onDone    func()
 	orig      interface{}
 }
-
-// reset clears the tag for pool reuse (caislint: poolreset).
-func (t *plainLoadTag) reset() { *t = plainLoadTag{} }
 
 // HandleReduction implements Micro-Function 2 (reduction request merging).
 func (m *MergeUnit) HandleReduction(p *noc.Packet) {

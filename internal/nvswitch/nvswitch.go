@@ -74,11 +74,11 @@ type Switch struct {
 	nextID uint64
 
 	// pkts is the run-wide packet free list (nil degrades to plain
-	// allocation); the session pools are private to this plane.
-	pkts         *noc.PacketPool
-	redSessions  pool.Pool[nvlsRedSession]
-	pullSessions pool.Pool[nvlsPullSession]
-	syncEntries  pool.Pool[syncEntry]
+	// allocation); the session and sync-entry pools are private to this
+	// plane.
+	pkts        *noc.PacketPool
+	redSessions pool.Pool[nvlsRedSession]
+	syncEntries pool.Pool[syncEntry]
 
 	// pending pairs packets awaiting the switch-internal latency with the
 	// single cached processNextFn closure: the latency is constant, so
@@ -140,9 +140,6 @@ type nvlsPullSession struct {
 	resp    *noc.Packet
 	fanTag  pullTag
 }
-
-// reset clears the session for pool reuse (caislint: poolreset).
-func (ps *nvlsPullSession) reset() { *ps = nvlsPullSession{} }
 
 type syncEntry struct {
 	count    int
@@ -216,23 +213,6 @@ func (s *Switch) Summary() Summary { return s.stats.Summary() }
 
 // Port returns the merge unit of the given GPU-facing port.
 func (s *Switch) Port(gpu int) *MergeUnit { return s.port[gpu] }
-
-// PoolStats sums Get traffic, fresh allocations and idle entries across
-// the plane's typed free lists (NVLS reduction/pull sessions, sync
-// entries) and every port merge unit's (sessions, load tags). The shared
-// packet pool is excluded — the machine reports it once.
-func (s *Switch) PoolStats() (gets, news, idle int) {
-	add := func(pg, pn, pi int) { gets, news, idle = gets+pg, news+pn, idle+pi }
-	add(s.redSessions.Stats())
-	add(s.pullSessions.Stats())
-	add(s.syncEntries.Stats())
-	for _, port := range s.port {
-		add(port.sessPool.Stats())
-		add(port.respTags.Stats())
-		add(port.plainTags.Stats())
-	}
-	return
-}
 
 // SetFaultTolerant arms or disarms the failover protocol. The injector
 // enables it (on every plane) only for schedules containing a plane
@@ -344,12 +324,7 @@ func (s *Switch) handleLoadResp(p *noc.Packet) {
 		// context and deliver directly.
 		p.OnDone = tag.onDone
 		p.Tag = tag.orig
-		requester, unit := tag.requester, tag.unit
-		if unit != nil {
-			tag.reset()
-			unit.plainTags.Put(tag)
-		}
-		s.sendDown(requester, p)
+		s.sendDown(tag.requester, p)
 	default:
 		s.sendDown(p.Dst, p)
 	}
@@ -391,9 +366,7 @@ func (s *Switch) handlePullReduce(p *noc.Packet) {
 	resp.ID, resp.Op, resp.Addr, resp.Home = s.id(), noc.OpLoadResp, p.Addr, p.Home
 	resp.Src, resp.Dst, resp.Size, resp.Group = p.Home, p.Src, p.Size, p.Group
 	resp.OnDone, resp.Tag, resp.Contribs = p.OnDone, p.Tag, s.cfg.NumGPUs
-	sess := s.pullSessions.Get()
-	sess.pending, sess.resp = s.cfg.NumGPUs, resp
-	sess.fanTag = pullTag{sw: s, key: key}
+	sess := &nvlsPullSession{pending: s.cfg.NumGPUs, resp: resp, fanTag: pullTag{sw: s, key: key}}
 	s.nvlsPull[key] = sess
 	s.stats.pullReduces.Inc()
 	for g := 0; g < s.cfg.NumGPUs; g++ {
@@ -415,10 +388,7 @@ func (s *Switch) handlePullResponse(p *noc.Packet, key pullKey) {
 	sess.pending--
 	if sess.pending == 0 {
 		delete(s.nvlsPull, key)
-		resp := sess.resp
-		sess.reset()
-		s.pullSessions.Put(sess)
-		s.sendDown(resp.Dst, resp)
+		s.sendDown(sess.resp.Dst, sess.resp)
 	}
 }
 

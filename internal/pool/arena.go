@@ -25,8 +25,6 @@ type Arena[T any] struct {
 	chunks [][]T
 	ci     int // active chunk index
 	used   int // elements used in the active chunk
-	slabs  int // oversized requests served by dedicated slabs
-	elems  int64
 }
 
 // arenaChunk is the per-chunk element count. Large enough that chunk
@@ -48,11 +46,8 @@ func (a *Arena[T]) Make(n int) []T {
 		return nil
 	}
 	if n > arenaChunk {
-		a.slabs++
-		a.elems += int64(n)
 		return make([]T, n)
 	}
-	a.elems += int64(n)
 	for {
 		if a.ci < len(a.chunks) {
 			c := a.chunks[a.ci]
@@ -95,10 +90,4 @@ func (a *Arena[T]) Rewind(m Mark) {
 	}
 	a.ci = m.ci
 	a.used = m.used
-}
-
-// Stats reports arena traffic: chunks allocated, dedicated oversized
-// slabs, and total elements handed out (including rewound ones).
-func (a *Arena[T]) Stats() (chunks, slabs int, elems int64) {
-	return len(a.chunks), a.slabs, a.elems
 }

@@ -13,27 +13,26 @@
 // a Pool must carry a reset() method, and every Put call site must reset
 // the object immediately before returning it. Get does not clear objects —
 // a stale field after reuse is a reset() bug, not a Get bug.
+//
+// A pool is kept only while it pays: each one in the tree stays on a
+// measured allocation reason, recorded in DESIGN.md §10.
 package pool
 
 // Pool is a stack-backed free list of *T. The zero value is ready to use.
 type Pool[T any] struct {
 	free []*T
-	news int
-	gets int
 }
 
 // Get pops a recycled object, or allocates a fresh zero-valued T when the
 // free list is empty. Objects from the free list were reset() by the Put
 // site and are indistinguishable from fresh ones.
 func (p *Pool[T]) Get() *T {
-	p.gets++
 	if n := len(p.free); n > 0 {
 		x := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		return x
 	}
-	p.news++
 	return new(T)
 }
 
@@ -46,10 +45,4 @@ func (p *Pool[T]) Put(x *T) {
 		return
 	}
 	p.free = append(p.free, x)
-}
-
-// Stats reports pool traffic: total Gets, how many allocated fresh objects,
-// and the current free-list depth. Used by tests and diagnostics.
-func (p *Pool[T]) Stats() (gets, news, idle int) {
-	return p.gets, p.news, len(p.free)
 }

@@ -51,18 +51,6 @@ func TestPutNilIgnored(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	var p Pool[thing]
-	x := p.Get()
-	x.reset()
-	p.Put(x)
-	p.Get()
-	gets, news, idle := p.Stats()
-	if gets != 2 || news != 1 || idle != 0 {
-		t.Fatalf("Stats() = (%d,%d,%d), want (2,1,0)", gets, news, idle)
-	}
-}
-
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	var p Pool[thing]
 	// Warm the free list so append in Put never grows.

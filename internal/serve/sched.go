@@ -140,7 +140,9 @@ func Run(w Workload, cm CostModel, sc SchedConfig) (Result, error) {
 				return Result{}, err
 			}
 			start := clock
-			clock += cost
+			if clock, err = advance(clock, cost); err != nil {
+				return Result{}, err
+			}
 			res.PrefillIters++
 			res.Iterations++
 			for _, r := range admit {
@@ -162,7 +164,9 @@ func Run(w Workload, cm CostModel, sc SchedConfig) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		clock += cost
+		if clock, err = advance(clock, cost); err != nil {
+			return Result{}, err
+		}
 		res.DecodeIters++
 		res.Iterations++
 		keep := running[:0]
@@ -209,4 +213,13 @@ func (r Result) Record(reg *metrics.Registry) {
 		}
 		e2e.Observe(req.E2E().Microseconds())
 	}
+}
+
+// advance moves the clock past one iteration's cost. A clock that would
+// pass MaxTime is an error rather than a wrapped, negative timestamp.
+func advance(clock, cost sim.Time) (sim.Time, error) {
+	if cost > sim.MaxTime-clock {
+		return 0, fmt.Errorf("serve: simulated time overflows at %v + %v; the arrival rate is too low for this trace", clock, cost)
+	}
+	return clock + cost, nil
 }

@@ -14,6 +14,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"cais/internal/sim"
 )
@@ -102,8 +103,11 @@ func (w Workload) Validate() error {
 	if w.Requests < 1 {
 		return fmt.Errorf("serve: workload needs at least 1 request, have %d", w.Requests)
 	}
-	if w.RatePerSec <= 0 {
-		return fmt.Errorf("serve: arrival rate must be positive, have %g", w.RatePerSec)
+	if !(w.RatePerSec > 0) || math.IsInf(w.RatePerSec, 1) {
+		return fmt.Errorf("serve: arrival rate must be positive and finite, have %g", w.RatePerSec)
+	}
+	if float64(sim.Second)/w.RatePerSec >= float64(sim.MaxTime) {
+		return fmt.Errorf("serve: arrival rate %g/s is too low: the mean inter-arrival gap does not fit in simulated time", w.RatePerSec)
 	}
 	if err := w.Prompt.validate("prompt"); err != nil {
 		return err
@@ -160,8 +164,14 @@ func GenRequests(w Workload) ([]Request, error) {
 	var at sim.Time
 	for i := range reqs {
 		// Exponential gap with mean 1/rate seconds; Scale is the audited
-		// float->Time conversion.
-		at += sim.Scale(sim.Second, arrivals.ExpFloat64()/w.RatePerSec)
+		// float->Time conversion. A trace too long for simulated time
+		// saturates at MaxTime, where the scheduler reports the overflow.
+		gap := sim.Scale(sim.Second, arrivals.ExpFloat64()/w.RatePerSec)
+		if gap > sim.MaxTime-at {
+			at = sim.MaxTime
+		} else {
+			at += gap
+		}
 		reqs[i] = Request{
 			ID:           i,
 			Arrival:      at,

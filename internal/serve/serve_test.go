@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -89,12 +90,70 @@ func TestWorkloadValidate(t *testing.T) {
 		{Requests: 1, RatePerSec: 1, Prompt: Fixed(0), Output: Fixed(1)},
 		{Requests: 1, RatePerSec: 1, Prompt: Fixed(1), Output: Uniform(5, 2)},
 		{Requests: 1, RatePerSec: 1, Prompt: LengthDist{Kind: DistKind(99), Value: 1}, Output: Fixed(1)},
+		{Requests: 1, RatePerSec: -5, Prompt: Fixed(1), Output: Fixed(1)},
+		{Requests: 1, RatePerSec: math.NaN(), Prompt: Fixed(1), Output: Fixed(1)},
+		{Requests: 1, RatePerSec: math.Inf(1), Prompt: Fixed(1), Output: Fixed(1)},
+		{Requests: 1, RatePerSec: math.Inf(-1), Prompt: Fixed(1), Output: Fixed(1)},
+		// The mean inter-arrival gap (1/rate seconds) overflows sim.Time.
+		{Requests: 1, RatePerSec: 1e-300, Prompt: Fixed(1), Output: Fixed(1)},
+		{Requests: 1, RatePerSec: 5e-324, Prompt: Fixed(1), Output: Fixed(1)},
+		{Requests: 1, RatePerSec: 1e-7, Prompt: Fixed(1), Output: Fixed(1)},
 	}
 	for i, w := range cases {
 		if _, err := GenRequests(w); err == nil {
 			t.Errorf("case %d: invalid workload %+v accepted", i, w)
 		}
 	}
+}
+
+// TestRunRejectsTimeOverflow: a rate Validate accepts can still make a
+// trace whose arrivals reach MaxTime. The scheduler reports the overflow
+// instead of wrapping the clock into negative latencies.
+func TestRunRejectsTimeOverflow(t *testing.T) {
+	w := Workload{Requests: 16, RatePerSec: 2e-7, Prompt: Fixed(8), Output: Fixed(2), Seed: 1}
+	if err := w.Validate(); err != nil {
+		t.Fatalf("workload rejected by Validate: %v", err)
+	}
+	res, err := Run(w, fixedCost{perToken: sim.Microsecond}, SchedConfig{})
+	if err == nil {
+		t.Fatalf("overflowing trace accepted: makespan %v", res.Makespan)
+	}
+}
+
+// FuzzWorkloadValidate: for every workload Validate accepts, GenRequests
+// returns without panicking and its arrivals are non-negative and
+// non-decreasing.
+func FuzzWorkloadValidate(f *testing.F) {
+	f.Add(16, 250.0, 0, 32, 128, 0, 4, 8, uint64(1))
+	f.Add(1, 1e-300, 1, 1, 1, 1, 1, 1, uint64(2))
+	f.Add(64, 2e-7, 0, 1, 1, 0, 1, 1, uint64(3))
+	f.Add(8, math.Inf(1), 1, 4, 4, 1, 4, 4, uint64(4))
+	f.Fuzz(func(t *testing.T, n int, rate float64, pk, plo, phi, ok, olo, ohi int, seed uint64) {
+		if n > 1<<12 {
+			return // keep the trace small; size does not change the property
+		}
+		w := Workload{
+			Requests:   n,
+			RatePerSec: rate,
+			Prompt:     LengthDist{Kind: DistKind(pk), Value: plo, Min: plo, Max: phi},
+			Output:     LengthDist{Kind: DistKind(ok), Value: olo, Min: olo, Max: ohi},
+			Seed:       seed,
+		}
+		if w.Validate() != nil {
+			return
+		}
+		reqs, err := GenRequests(w)
+		if err != nil {
+			t.Fatalf("GenRequests rejected a valid workload %+v: %v", w, err)
+		}
+		var last sim.Time
+		for i, r := range reqs {
+			if r.Arrival < last {
+				t.Fatalf("rate %g: arrival %d at %v precedes %v", rate, i, r.Arrival, last)
+			}
+			last = r.Arrival
+		}
+	})
 }
 
 func TestQuantizeTokens(t *testing.T) {

@@ -222,29 +222,3 @@ func TestEventHeapPushAllocsAmortized(t *testing.T) {
 		t.Fatalf("heap lost events: len=%d want %d", h.len(), n)
 	}
 }
-
-// BenchmarkLatchPool measures a full pooled-latch cycle: Get, the cached
-// Done method value, and the fire that recycles the latch back into the
-// pool before its callback runs. At steady state the same latch object
-// round-trips forever: zero allocations per cycle.
-func BenchmarkLatchPool(b *testing.B) {
-	var lp LatchPool
-	cb := func() {}
-	cycle := func() {
-		l := lp.Get(2, cb)
-		done := l.DoneFunc()
-		done()
-		done()
-	}
-	for i := 0; i < 64; i++ {
-		cycle() // warm: the pool settles on one latch with a cached doneFn
-	}
-	if got := testing.AllocsPerRun(100, cycle); got != 0 {
-		b.Fatalf("warmed latch cycle allocates %.2f/op, want 0", got)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
-	}
-}

@@ -1,7 +1,5 @@
 package sim
 
-import "cais/internal/pool"
-
 // Resource models a serialized, full-throughput resource such as a link's
 // serialization stage or a GPU's HBM share. Callers reserve an interval of
 // exclusive use; the resource tracks its next-free time and accumulated
@@ -66,42 +64,16 @@ func (r *Resource) Utilization(horizon Time) float64 {
 // Latch is a countdown latch used to model barriers: once Add'ed count
 // reaches zero the registered callbacks fire, in registration order, at the
 // time of the final Done call.
-//
-// Latches come in two flavours. NewLatch builds a standalone one-shot
-// latch with the historical OnRelease API. LatchPool.Get builds a pooled
-// latch with a single pre-bound callback slot: firing recycles the latch
-// into its pool automatically, and the DoneFunc method value is cached
-// across pool round trips, so the machine-layer kernel-completion path
-// counts down without allocating a closure per latch.
 type Latch struct {
 	remaining int
 	fns       []func()
 	fired     bool
-
-	// fn is the pooled flavour's single pre-bound callback slot — the
-	// cached-method-value counterpart of the OnRelease closure list.
-	fn   func()
-	home *LatchPool // recycle destination; nil for standalone latches
-
-	// doneFn is the cached Done method value. It is bound to this object's
-	// identity and deliberately survives reset() (caislint: poolreset).
-	doneFn func()
 }
 
-// NewLatch returns a standalone latch waiting for n completions. n == 0
-// latches fire immediately upon the first callback registration.
+// NewLatch returns a latch waiting for n completions. n == 0 latches fire
+// immediately upon the first callback registration.
 func NewLatch(n int) *Latch {
 	return &Latch{remaining: n}
-}
-
-// reset clears the latch for pool reuse; the cached doneFn method value
-// is the object's identity and survives (caislint: poolreset).
-func (l *Latch) reset() {
-	l.remaining = 0
-	l.fns = nil
-	l.fired = false
-	l.fn = nil
-	l.home = nil
 }
 
 // Remaining reports outstanding completions.
@@ -131,58 +103,15 @@ func (l *Latch) Done() {
 	}
 }
 
-// DoneFunc returns the cached Done method value. Pooled latches create it
-// once per object lifetime, so handing it to N waiters costs nothing on
-// reuse. Callers must not invoke it after the latch has released.
-func (l *Latch) DoneFunc() func() {
-	if l.doneFn == nil {
-		l.doneFn = l.Done
-	}
-	return l.doneFn
-}
-
-// fire releases the latch. A pooled latch recycles itself before invoking
-// its callbacks, so a callback may immediately Get a fresh latch from the
-// same pool (the machine launches follow-up kernels from completion
-// callbacks).
+// fire releases the latch, running the callbacks in registration order.
 func (l *Latch) fire() {
 	if l.fired {
 		return
 	}
 	l.fired = true
-	fn, fns, home := l.fn, l.fns, l.home
-	if home != nil {
-		l.reset()
-		home.p.Put(l)
-	}
-	if fn != nil {
+	fns := l.fns
+	l.fns = nil
+	for _, fn := range fns {
 		fn()
 	}
-	for _, f := range fns {
-		f()
-	}
 }
-
-// LatchPool is a free list of latches with the strict reset-before-Put
-// lifecycle of the other engine pools. The zero value is ready to use.
-type LatchPool struct {
-	p pool.Pool[Latch]
-}
-
-// Get returns a latch waiting for n completions (n must be >= 1) that
-// invokes fn — which may be nil — when the count reaches zero and then
-// recycles itself. The caller must arrange exactly n Done calls (use
-// DoneFunc to hand the countdown to the waiters allocation-free).
-func (lp *LatchPool) Get(n int, fn func()) *Latch {
-	if n < 1 {
-		panic("sim: LatchPool.Get needs n >= 1")
-	}
-	l := lp.p.Get()
-	l.remaining = n
-	l.fn = fn
-	l.home = lp
-	return l
-}
-
-// Stats reports pool traffic (total Gets, fresh allocations, idle depth).
-func (lp *LatchPool) Stats() (gets, news, idle int) { return lp.p.Stats() }

@@ -292,74 +292,6 @@ func TestLatchDoubleDonePanics(t *testing.T) {
 	l.Done()
 }
 
-func TestLatchPoolRecyclesOnFire(t *testing.T) {
-	var lp LatchPool
-	fired := 0
-	l := lp.Get(2, func() { fired++ })
-	done := l.DoneFunc()
-	done()
-	if fired != 0 {
-		t.Fatal("latch fired early")
-	}
-	done()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	// The fired latch must already be back in the pool: the next Get
-	// returns the same object with fresh state.
-	l2 := lp.Get(1, nil)
-	if l2 != l {
-		t.Fatal("fired latch was not recycled")
-	}
-	if l2.Remaining() != 1 {
-		t.Fatalf("recycled latch Remaining = %d, want 1", l2.Remaining())
-	}
-	l2.Done()
-	if gets, news, idle := lp.Stats(); gets != 2 || news != 1 || idle != 1 {
-		t.Fatalf("Stats = (%d, %d, %d), want (2, 1, 1)", gets, news, idle)
-	}
-}
-
-func TestLatchPoolRecyclesBeforeCallback(t *testing.T) {
-	// A completion callback may immediately Get a follow-up latch from the
-	// same pool — the machine launches the next kernel batch from exactly
-	// this position. The fired latch must already be available for reuse.
-	var lp LatchPool
-	var inner *Latch
-	outer := lp.Get(1, nil)
-	outer.OnRelease(func() { inner = lp.Get(1, nil) })
-	outer.Done()
-	if inner != outer {
-		t.Fatal("callback Get did not reuse the just-fired latch")
-	}
-	inner.Done()
-}
-
-func TestLatchPoolGetZeroPanics(t *testing.T) {
-	var lp LatchPool
-	defer func() {
-		if recover() == nil {
-			t.Error("Get(0) did not panic")
-		}
-	}()
-	lp.Get(0, nil)
-}
-
-func TestLatchPoolSteadyStateAllocs(t *testing.T) {
-	var lp LatchPool
-	l := lp.Get(1, nil)
-	l.DoneFunc()()
-	allocs := testing.AllocsPerRun(100, func() {
-		l := lp.Get(2, nil)
-		done := l.DoneFunc()
-		done()
-		done()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state latch cycle allocates %.1f/op, want 0", allocs)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
