@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt lint lint-sarif race resilience-smoke parallel-smoke attrib-smoke serving-smoke clean
+.PHONY: all build test check vet fmt lint race fuzz-smoke alloc-bench resilience-smoke parallel-smoke attrib-smoke serving-smoke clean
 
 all: check
 
@@ -15,6 +15,19 @@ test: build
 # — run the whole suite under the race detector to keep that honest.
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke: 15 s of each input-validation fuzzer — the fault-schedule
+# parser and the hardware, model and serving-workload validators.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=15s ./internal/faults/
+	$(GO) test -run='^$$' -fuzz=FuzzHardwareValidate -fuzztime=15s ./internal/config/
+	$(GO) test -run='^$$' -fuzz=FuzzWorkloadValidate -fuzztime=15s ./internal/serve/
+	$(GO) test -run='^$$' -fuzz=FuzzModelValidate -fuzztime=15s ./internal/model/
+
+# alloc-bench: the disabled tracer's hot path, which must report
+# 0 allocs/op.
+alloc-bench:
+	$(GO) test -run='^$$' -bench=BenchmarkDisabledHotPath -benchmem ./internal/trace/
 
 # resilience-smoke: the fault-injection degradation study at reduced
 # fidelity (DESIGN.md §8) — a fast end-to-end pass over every fault kind.
@@ -47,16 +60,12 @@ vet:
 lint:
 	$(GO) run ./cmd/caislint ./...
 
-# lint-sarif: full run plus a SARIF 2.1.0 log for code-scanning UIs; CI
-# uploads caislint.sarif as a workflow artifact.
-lint-sarif:
-	$(GO) run ./cmd/caislint -sarif caislint.sarif ./...
-
 fmt:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-check: fmt vet lint test race resilience-smoke attrib-smoke serving-smoke
+# check: the pre-merge gate, the same step list CI runs.
+check: fmt vet build lint test race fuzz-smoke alloc-bench resilience-smoke attrib-smoke serving-smoke parallel-smoke
 
 clean:
 	$(GO) clean ./...

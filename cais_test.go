@@ -48,6 +48,15 @@ func TestFacadeRejectsNonPositiveLayers(t *testing.T) {
 	}
 }
 
+func TestFacadeRejectsInvalidModel(t *testing.T) {
+	m := tiny()
+	m.Heads = m.Hidden + 1
+	_, err := cais.RunInference(fastHW(), cais.CAIS(), m, 1)
+	if err == nil || !strings.Contains(err.Error(), "Heads") {
+		t.Fatalf("RunInference with more heads than hidden dims: err = %v, want one naming Heads", err)
+	}
+}
+
 func TestFacadeSubLayer(t *testing.T) {
 	subs := cais.SubLayers(tiny())
 	if len(subs) != 4 {

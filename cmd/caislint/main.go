@@ -3,13 +3,12 @@
 //
 // Usage:
 //
-//	caislint [-json] [-sarif file] [-checks a,b] [-list] [-C dir] [patterns...]
+//	caislint [-json] [-checks a,b] [-list] [-C dir] [patterns...]
 //
 // Patterns default to "./..." and are resolved against the module root (a
 // directory containing go.mod, found by walking up from -C or the current
 // directory). -list prints the registered checks and exits. -checks runs
-// a subset by name. -sarif additionally writes a SARIF 2.1.0 log
-// ("-" for stdout) for code-scanning UIs and CI artifacts.
+// a subset by name. -json emits the diagnostics as a JSON array.
 //
 // Exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 when the analysis itself failed to run.
@@ -28,7 +27,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "print the registered checks with their one-line docs and exit")
 	dir := flag.String("C", ".", "directory to start the module-root search from")
@@ -59,20 +57,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "caislint:", err)
 		os.Exit(2)
 	}
-	if *sarifOut != "" {
-		data, err := lint.SARIF(diags, root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "caislint: sarif:", err)
-			os.Exit(2)
-		}
-		data = append(data, '\n')
-		if *sarifOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*sarifOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "caislint: sarif:", err)
-			os.Exit(2)
-		}
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -83,7 +67,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "caislint:", err)
 			os.Exit(2)
 		}
-	} else if *sarifOut != "-" {
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -210,10 +210,18 @@ func TableIModels() []Model {
 	return []Model{MegaGPT4B(), MegaGPT8B(), LLaMA7B()}
 }
 
-// Validate reports model configuration errors.
+// Validate reports model configuration errors. Hidden need not be a
+// multiple of Heads (Table I's Mega-GPT-4B is not; HeadDim rounds down),
+// but every head needs at least one dimension, and Tokens must not
+// overflow.
 func (m Model) Validate() error {
-	if m.Hidden < 1 || m.FFNHidden < 1 || m.Heads < 1 || m.SeqLen < 1 || m.Batch < 1 || m.Layers < 1 {
+	switch {
+	case m.Hidden < 1 || m.FFNHidden < 1 || m.Heads < 1 || m.SeqLen < 1 || m.Batch < 1 || m.Layers < 1:
 		return fmt.Errorf("config: model %q has non-positive dimension: %+v", m.Name, m)
+	case m.Heads > m.Hidden:
+		return fmt.Errorf("config: model %q has Heads %d > Hidden %d, leaving a head no dimension", m.Name, m.Heads, m.Hidden)
+	case m.Batch > math.MaxInt/m.SeqLen:
+		return fmt.Errorf("config: model %q: Batch %d x SeqLen %d overflows int", m.Name, m.Batch, m.SeqLen)
 	}
 	return nil
 }

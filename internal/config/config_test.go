@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -117,6 +118,34 @@ func TestModelHelpers(t *testing.T) {
 	bad.Batch = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero batch accepted")
+	}
+}
+
+func TestModelValidate(t *testing.T) {
+	cases := []struct {
+		name   string
+		edit   func(*Model)
+		reject string // field the error must name; "" = accepted
+	}{
+		{"table I", func(*Model) {}, ""},
+		{"indivisible heads", func(m *Model) { m.Hidden, m.Heads = 2048, 24 }, ""},
+		{"one dim per head", func(m *Model) { m.Hidden, m.Heads = 32, 32 }, ""},
+		{"max tokens", func(m *Model) { m.Batch, m.SeqLen = math.MaxInt, 1 }, ""},
+		{"zero heads", func(m *Model) { m.Heads = 0 }, "non-positive"},
+		{"more heads than hidden", func(m *Model) { m.Hidden, m.Heads = 32, 33 }, "Heads"},
+		{"tokens overflow", func(m *Model) { m.Batch, m.SeqLen = math.MaxInt/2+1, 2 }, "SeqLen"},
+		{"tokens overflow wide", func(m *Model) { m.Batch, m.SeqLen = 1<<40, 1<<40 }, "Batch"},
+	}
+	for _, c := range cases {
+		m := LLaMA7B()
+		c.edit(&m)
+		err := m.Validate()
+		switch {
+		case c.reject == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.reject != "" && (err == nil || !strings.Contains(err.Error(), c.reject)):
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.reject)
+		}
 	}
 }
 

@@ -21,86 +21,6 @@ func pkgOf(p *Package, x ast.Expr) *types.Package {
 	return pn.Imported()
 }
 
-// sourceKind classifies a selector for the wallclock and rand checks and
-// their transitive taint analysis.
-type sourceKind int
-
-const (
-	notSource  sourceKind = iota
-	wallSource            // time.Now/Since/Until
-	randSource            // the unseeded global math/rand source
-)
-
-// source reports whether sel reads the wall clock, uses the unseeded
-// global math/rand source, or neither.
-func source(p *Package, sel *ast.SelectorExpr) sourceKind {
-	pkg := pkgOf(p, sel.X)
-	if pkg == nil {
-		return notSource
-	}
-	switch pkg.Path() {
-	case "time":
-		switch sel.Sel.Name {
-		case "Now", "Since", "Until":
-			return wallSource
-		}
-	case "math/rand", "math/rand/v2":
-		if randAllowed[sel.Sel.Name] {
-			return notSource
-		}
-		// Types (rand.Rand, rand.Source) are legitimate in signatures.
-		if obj, ok := p.Info.Uses[sel.Sel]; ok {
-			if _, isType := obj.(*types.TypeName); isType {
-				return notSource
-			}
-		}
-		return randSource
-	}
-	return notSource
-}
-
-// checkWallclock forbids wall-clock reads in simulated code: the engine's
-// sim.Time is the only clock, so time.Now/Since/Until anywhere outside the
-// CLI and tracing layers silently breaks replayability.
-func checkWallclock(p *Package, f *ast.File, rc *resolved, rep reporter) {
-	if pathAllowed(p.Path, rc.wallclockAllow) {
-		return
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && source(p, sel) == wallSource {
-			rep(sel.Pos(), CheckWallclock,
-				"time.%s reads the wall clock; simulated code must use sim.Engine time (allowed only under cmd/ and internal/trace)",
-				sel.Sel.Name)
-		}
-		return true
-	})
-}
-
-// randAllowed are the math/rand entry points that construct seeded
-// generators; everything else on the package (Intn, Float64, Shuffle,
-// Seed, ...) goes through the unseeded global source.
-var randAllowed = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
-	"NewPCG":     true, // math/rand/v2
-	"NewChaCha8": true, // math/rand/v2
-	"NewZipf":    true, // takes a *rand.Rand, so it is already seeded
-}
-
-// checkRand forbids the global math/rand functions: only explicitly
-// seeded generators (sim.RNG, or *rand.Rand built via rand.New) keep runs
-// reproducible across processes and Go versions.
-func checkRand(p *Package, f *ast.File, _ *resolved, rep reporter) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && source(p, sel) == randSource {
-			rep(sel.Pos(), CheckRand,
-				"rand.%s uses the unseeded global source; use sim.RNG (sim.NewRNG or a labeled sim.NewStreamRNG stream) or a *rand.Rand seeded from the run configuration",
-				sel.Sel.Name)
-		}
-		return true
-	})
-}
-
 // checkGoroutine polices `go` statements. Engine packages forbid them
 // unconditionally: the discrete-event simulator is single-threaded by
 // design, and a goroutine on the hot path reintroduces scheduler-dependent
@@ -108,9 +28,9 @@ func checkRand(p *Package, f *ast.File, _ *resolved, rep reporter) {
 // sites (internal/sweep's bounded pool, cmd/) so that parallel sweeps keep
 // the byte-identical-output contract instead of sprouting ad-hoc
 // goroutines with their own result-ordering bugs.
-func checkGoroutine(p *Package, f *ast.File, rc *resolved, rep reporter) {
-	engine := rc.enginePkgs[p.Path]
-	if !engine && pathAllowed(p.Path, rc.concurrencyAllow) {
+func checkGoroutine(p *Package, f *ast.File, pol policy, rep reporter) {
+	engine := pol.is(p.Path, enginePackages...)
+	if !engine && pol.under(p.Path, concurrencyAllow...) {
 		return
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -128,9 +48,9 @@ func checkGoroutine(p *Package, f *ast.File, rc *resolved, rep reporter) {
 	})
 }
 
-// isTimeType reports whether t (or its pointer base) is one of the
-// configured simulated-time types.
-func isTimeType(rc *resolved, t types.Type) bool {
+// isTimeType reports whether t (or its pointer base) is sim.Time, the
+// simulated-time type.
+func isTimeType(pol policy, t types.Type) bool {
 	if t == nil {
 		return false
 	}
@@ -145,7 +65,7 @@ func isTimeType(rc *resolved, t types.Type) bool {
 	if obj.Pkg() == nil {
 		return false
 	}
-	return rc.timeTypes[obj.Pkg().Path()+"."+obj.Name()]
+	return obj.Name() == "Time" && pol.is(obj.Pkg().Path(), simPackage)
 }
 
 func isFloat(t types.Type) bool {
@@ -165,15 +85,15 @@ func isFloat(t types.Type) bool {
 //     `sum += t.Seconds()`) is flagged: float summation is
 //     non-associative, so the result depends on accumulation order —
 //     accumulate in sim.Time and convert once.
-func checkUnits(p *Package, f *ast.File, rc *resolved, rep reporter) {
-	if pathAllowed(p.Path, rc.unitAllow) {
+func checkUnits(p *Package, f *ast.File, pol policy, rep reporter) {
+	if pol.under(p.Path, simPackage) {
 		return
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			tv, ok := p.Info.Types[n.Fun]
-			if !ok || !tv.IsType() || !isTimeType(rc, tv.Type) || len(n.Args) != 1 {
+			if !ok || !tv.IsType() || !isTimeType(pol, tv.Type) || len(n.Args) != 1 {
 				return true
 			}
 			if isFloat(p.Info.TypeOf(n.Args[0])) {
@@ -187,7 +107,7 @@ func checkUnits(p *Package, f *ast.File, rc *resolved, rep reporter) {
 			if len(n.Lhs) != 1 || !isFloat(p.Info.TypeOf(n.Lhs[0])) {
 				return true
 			}
-			if derivesFromTime(p, rc, n.Rhs[0]) {
+			if derivesFromTime(p, pol, n.Rhs[0]) {
 				rep(n.Pos(), CheckUnits,
 					"float accumulation of simulated-time values is order-dependent (non-associative); accumulate in sim.Time and convert once")
 			}
@@ -199,7 +119,7 @@ func checkUnits(p *Package, f *ast.File, rc *resolved, rep reporter) {
 // derivesFromTime reports whether an expression converts a simulated-time
 // value to float — either a float(t) conversion or a unit method call on a
 // time value (t.Seconds() and friends).
-func derivesFromTime(p *Package, rc *resolved, e ast.Expr) bool {
+func derivesFromTime(p *Package, pol policy, e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -207,13 +127,13 @@ func derivesFromTime(p *Package, rc *resolved, e ast.Expr) bool {
 			return !found
 		}
 		if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() && isFloat(tv.Type) && len(call.Args) == 1 {
-			if isTimeType(rc, p.Info.TypeOf(call.Args[0])) {
+			if isTimeType(pol, p.Info.TypeOf(call.Args[0])) {
 				found = true
 				return false
 			}
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if isTimeType(rc, p.Info.TypeOf(sel.X)) && isFloat(p.Info.TypeOf(call)) {
+			if isTimeType(pol, p.Info.TypeOf(sel.X)) && isFloat(p.Info.TypeOf(call)) {
 				found = true
 				return false
 			}
@@ -224,9 +144,8 @@ func derivesFromTime(p *Package, rc *resolved, e ast.Expr) bool {
 }
 
 // isPoolType reports whether t (or its pointer base) is an instantiation
-// of Pool from a configured free-list package, returning the named type
-// for type-argument inspection.
-func isPoolType(rc *resolved, t types.Type) (*types.Named, bool) {
+// of pool.Pool, returning the named type for type-argument inspection.
+func isPoolType(pol policy, t types.Type) (*types.Named, bool) {
 	if t == nil {
 		return nil, false
 	}
@@ -241,7 +160,7 @@ func isPoolType(rc *resolved, t types.Type) (*types.Named, bool) {
 	if obj.Pkg() == nil || obj.Name() != "Pool" {
 		return nil, false
 	}
-	return named, rc.poolPkgs[obj.Pkg().Path()]
+	return named, pol.is(obj.Pkg().Path(), poolPackage)
 }
 
 // hasResetMethod reports whether *T has a niladic reset() method. The
@@ -267,8 +186,8 @@ func hasResetMethod(elem types.Type) bool {
 // the object it returns — pool.Get hands objects out without clearing
 // them, so a skipped or distant reset resurfaces one run's state in
 // another object's lifetime, the classic stale-field heisenbug.
-func checkPoolReset(p *Package, f *ast.File, rc *resolved, rep reporter) {
-	if rc.poolPkgs[p.Path] {
+func checkPoolReset(p *Package, f *ast.File, pol policy, rep reporter) {
+	if pol.is(p.Path, poolPackage) {
 		return // the pool package itself (generic T has no methods to check)
 	}
 
@@ -282,7 +201,7 @@ func checkPoolReset(p *Package, f *ast.File, rc *resolved, rep reporter) {
 		if !ok || !tv.IsType() {
 			return true
 		}
-		named, isPool := isPoolType(rc, tv.Type)
+		named, isPool := isPoolType(pol, tv.Type)
 		if !isPool || named.TypeArgs().Len() != 1 {
 			return true
 		}
@@ -314,7 +233,7 @@ func checkPoolReset(p *Package, f *ast.File, rc *resolved, rep reporter) {
 			return true
 		}
 		for i, stmt := range list {
-			call := poolPutStmt(p, rc, stmt)
+			call := poolPutStmt(p, pol, stmt)
 			if call == nil {
 				continue
 			}
@@ -334,7 +253,7 @@ func checkPoolReset(p *Package, f *ast.File, rc *resolved, rep reporter) {
 	// it rather than silently trusting it.
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || checked[call.Pos()] || !isPoolPutCall(p, rc, call) {
+		if !ok || checked[call.Pos()] || !isPoolPutCall(p, pol, call) {
 			return true
 		}
 		rep(call.Pos(), CheckPoolReset,
@@ -345,21 +264,20 @@ func checkPoolReset(p *Package, f *ast.File, rc *resolved, rep reporter) {
 
 // poolPutStmt returns the pool Put call when stmt is a plain `x.Put(y)`
 // expression statement, nil otherwise.
-func poolPutStmt(p *Package, rc *resolved, stmt ast.Stmt) *ast.CallExpr {
+func poolPutStmt(p *Package, pol policy, stmt ast.Stmt) *ast.CallExpr {
 	es, ok := stmt.(*ast.ExprStmt)
 	if !ok {
 		return nil
 	}
 	call, ok := es.X.(*ast.CallExpr)
-	if !ok || !isPoolPutCall(p, rc, call) {
+	if !ok || !isPoolPutCall(p, pol, call) {
 		return nil
 	}
 	return call
 }
 
-// isPoolPutCall reports whether call invokes Pool.Put from a configured
-// free-list package.
-func isPoolPutCall(p *Package, rc *resolved, call *ast.CallExpr) bool {
+// isPoolPutCall reports whether call invokes pool.Pool.Put.
+func isPoolPutCall(p *Package, pol policy, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Put" || len(call.Args) != 1 {
 		return false
@@ -372,7 +290,7 @@ func isPoolPutCall(p *Package, rc *resolved, call *ast.CallExpr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	_, isPool := isPoolType(rc, sig.Recv().Type())
+	_, isPool := isPoolType(pol, sig.Recv().Type())
 	return isPool
 }
 

@@ -26,7 +26,7 @@ import (
 // bypass the cache entirely), in addition to carrying an annotation.
 func checkDigestCover(pass *Pass) {
 	p := pass.Pkg
-	if !pass.rc.digestPkgs[p.Path] {
+	if !pass.mod.pol.is(p.Path, memoPackage) {
 		return
 	}
 	hashers := hasherTypes(p)

@@ -33,7 +33,7 @@ func TestDirectiveMultiCheck(t *testing.T) {
 	_, ds, diags := parseSrc(t, `package p
 
 func f() {
-	//caislint:ignore wallclock,rand,taintwall one comment, three checks
+	//caislint:ignore wallclock,rand,map-order one comment, three checks
 	_ = 1
 }
 `)
@@ -43,7 +43,7 @@ func f() {
 	if len(ds.list) != 3 {
 		t.Fatalf("got %d directives, want 3 (one per named check)", len(ds.list))
 	}
-	want := []string{CheckWallclock, CheckRand, CheckTaintWall}
+	want := []string{CheckWallclock, CheckRand, CheckMapOrder}
 	for i, d := range ds.list {
 		if d.check != want[i] {
 			t.Errorf("directive %d covers %q, want %q", i, d.check, want[i])

@@ -7,10 +7,15 @@
 // reviewers cannot reliably eyeball.
 //
 // The check catalog lives in registry.go; `caislint -list` prints it.
-// Local syntactic checks (wallclock, rand, map-order, units, goroutine,
-// poolreset) analyze one package at a time. Three whole-module passes
-// reason across package boundaries:
+// Local syntactic checks (map-order, units, goroutine, poolreset) analyze
+// one package at a time. The other four reason across package boundaries
+// through a shared whole-module view:
 //
+//   - wallclock and rand: a direct read of time.Now/Since/Until or of
+//     the unseeded global math/rand source is flagged where it appears,
+//     and so is every call site of a module function that reaches one
+//     through any chain of module calls — a helper wrapping time.Now is
+//     flagged in every package that calls it, not just at its definition.
 //   - digestcover: for each struct type consumed by a memo.Hasher digest
 //     method, every exported field must be written into the digest,
 //     passed to a nested digest call, or annotated
@@ -21,9 +26,10 @@
 //   - exhaustive: switches and map literals over enum-like const blocks
 //     (faults.Kind, attrib.Bucket, ...) must cover every declared
 //     constant or carry an explicit default.
-//   - taintwall: a transitive call-graph taint pass — a helper that
-//     wraps time.Now or the global math/rand source is flagged at every
-//     call site in simulated code, not just at its definition.
+//
+// The policy boundaries (which packages may read the wall clock, which
+// are engine packages, ...) are fixed relative to the module path; see
+// policy below.
 //
 // Violations that are intentional carry a directive with a mandatory
 // reason:
@@ -71,7 +77,6 @@ const (
 	CheckPoolReset   = "poolreset"
 	CheckDigestCover = "digestcover"
 	CheckExhaustive  = "exhaustive"
-	CheckTaintWall   = "taintwall"
 	CheckDirective   = "directive"
 )
 
@@ -84,9 +89,7 @@ var knownChecks = func() map[string]bool {
 	return m
 }()
 
-// Config selects what to analyze and where the policy boundaries sit. The
-// zero value of every policy field derives a default from the module path,
-// matching this repository's layout.
+// Config selects what to analyze.
 type Config struct {
 	// Dir is the module root (a directory containing go.mod).
 	Dir string
@@ -96,100 +99,55 @@ type Config struct {
 	// Checks selects a subset of the registered analyzers by name.
 	// Empty means all.
 	Checks []string
-
-	// TimeTypes are fully-qualified named types ("<pkg>.<Name>") treated
-	// as simulated time. Default: <module>/internal/sim.Time.
-	TimeTypes []string
-	// WallclockAllow are import-path prefixes where wall-clock reads are
-	// legal. Default: <module>/cmd, <module>/internal/trace.
-	WallclockAllow []string
-	// EnginePackages are import paths where `go` statements are forbidden
-	// unconditionally (no allowlist applies).
-	// Default: <module>/internal/{sim,gpu,nvswitch,noc,machine}.
-	EnginePackages []string
-	// ConcurrencyAllow are import-path prefixes where `go` statements are
-	// legal outside the engine packages — the sanctioned concurrency
-	// sites. Default: <module>/internal/sweep, <module>/cmd.
-	ConcurrencyAllow []string
-	// UnitConvertAllow are import-path prefixes housing the audited
-	// float→time conversion helpers. Default: <module>/internal/sim.
-	UnitConvertAllow []string
-	// PoolPackages are import paths providing the generic free-list type
-	// Pool whose lifecycle discipline the poolreset check enforces.
-	// Default: <module>/internal/pool.
-	PoolPackages []string
-	// DigestPackages are import paths whose Hasher methods define the
-	// memoization digest; digestcover analyzes the structs they consume.
-	// Default: <module>/internal/memo.
-	DigestPackages []string
 }
 
-// resolved is the config with module-path defaults filled in.
-type resolved struct {
-	module           string
-	timeTypes        map[string]bool
-	wallclockAllow   []string
-	enginePkgs       map[string]bool
-	concurrencyAllow []string
-	unitAllow        []string
-	poolPkgs         map[string]bool
-	digestPkgs       map[string]bool
-}
+// The policy boundaries, as package directories relative to the module
+// root. They follow this repository's layout, which the fixture module
+// under testdata/src mirrors.
+var (
+	// wallclockAllow: wall-clock reads are legal in these packages and
+	// below them.
+	wallclockAllow = []string{"cmd", "internal/trace"}
+	// enginePackages: `go` statements are forbidden here unconditionally.
+	enginePackages = []string{"internal/sim", "internal/gpu", "internal/nvswitch", "internal/noc", "internal/machine"}
+	// concurrencyAllow: the sanctioned concurrency sites, where `go`
+	// statements are legal outside the engine packages (and below them).
+	concurrencyAllow = []string{"internal/sweep", "cmd"}
+)
 
-func (c Config) resolve(module string) *resolved {
-	r := &resolved{module: module, timeTypes: map[string]bool{}, enginePkgs: map[string]bool{}}
-	tt := c.TimeTypes
-	if len(tt) == 0 {
-		tt = []string{module + "/internal/sim.Time"}
-	}
-	for _, t := range tt {
-		r.timeTypes[t] = true
-	}
-	r.wallclockAllow = c.WallclockAllow
-	if len(r.wallclockAllow) == 0 {
-		r.wallclockAllow = []string{module + "/cmd", module + "/internal/trace"}
-	}
-	eng := c.EnginePackages
-	if len(eng) == 0 {
-		for _, p := range []string{"sim", "gpu", "nvswitch", "noc", "machine"} {
-			eng = append(eng, module+"/internal/"+p)
+const (
+	// simPackage declares Time, the simulated-time type, and houses the
+	// audited float→time conversion helpers (as do packages below it).
+	simPackage = "internal/sim"
+	// poolPackage declares Pool, the free list whose lifecycle
+	// discipline the poolreset check enforces.
+	poolPackage = "internal/pool"
+	// memoPackage's Hasher methods define the memoization digest that
+	// digestcover audits.
+	memoPackage = "internal/memo"
+)
+
+// policy resolves the module-relative boundaries above against the path
+// of the module under analysis.
+type policy string
+
+// is reports whether an import path is exactly one of the module-relative
+// package dirs.
+func (m policy) is(path string, dirs ...string) bool {
+	for _, d := range dirs {
+		if path == string(m)+"/"+d {
+			return true
 		}
 	}
-	for _, p := range eng {
-		r.enginePkgs[p] = true
-	}
-	r.concurrencyAllow = c.ConcurrencyAllow
-	if len(r.concurrencyAllow) == 0 {
-		r.concurrencyAllow = []string{module + "/internal/sweep", module + "/cmd"}
-	}
-	r.unitAllow = c.UnitConvertAllow
-	if len(r.unitAllow) == 0 {
-		r.unitAllow = []string{module + "/internal/sim"}
-	}
-	pp := c.PoolPackages
-	if len(pp) == 0 {
-		pp = []string{module + "/internal/pool"}
-	}
-	r.poolPkgs = map[string]bool{}
-	for _, p := range pp {
-		r.poolPkgs[p] = true
-	}
-	dp := c.DigestPackages
-	if len(dp) == 0 {
-		dp = []string{module + "/internal/memo"}
-	}
-	r.digestPkgs = map[string]bool{}
-	for _, p := range dp {
-		r.digestPkgs[p] = true
-	}
-	return r
+	return false
 }
 
-// pathAllowed reports whether an import path is covered by an allowlist
-// prefix (exact package or any package below it).
-func pathAllowed(path string, allow []string) bool {
-	for _, a := range allow {
-		if path == a || strings.HasPrefix(path, a+"/") {
+// under reports whether an import path is one of the module-relative
+// package dirs or any package below one.
+func (m policy) under(path string, dirs ...string) bool {
+	for _, d := range dirs {
+		full := string(m) + "/" + d
+		if path == full || strings.HasPrefix(path, full+"/") {
 			return true
 		}
 	}
@@ -217,8 +175,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := cfg.resolve(l.module)
-	mod := newModState(l, rc)
+	mod := newModState(l)
 
 	var diags []Diagnostic
 	for _, path := range paths {
@@ -268,7 +225,7 @@ func lintPackage(p *Package, mod *modState, checks []*Analyzer) []Diagnostic {
 			Check: check, Msg: fmt.Sprintf(format, args...),
 		})
 	}
-	pass := &Pass{Pkg: p, rc: mod.rc, mod: mod, rep: rep}
+	pass := &Pass{Pkg: p, mod: mod, rep: rep}
 	ran := map[string]bool{}
 	for _, a := range checks {
 		a.run(pass)

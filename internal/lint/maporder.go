@@ -27,7 +27,7 @@ import (
 // Everything else — function calls, returns, breaks, float accumulation,
 // appends of computed values — must either iterate sorted keys or carry a
 // //caislint:ignore map-order <reason> directive.
-func checkMapOrder(p *Package, f *ast.File, _ *resolved, rep reporter) {
+func checkMapOrder(p *Package, f *ast.File, _ policy, rep reporter) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {

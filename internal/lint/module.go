@@ -11,29 +11,29 @@ import (
 // one Run. The cross-package passes use it to reach beyond the package
 // under analysis: digestcover reads field annotations from the digested
 // structs' defining packages, exhaustive collects enum const blocks from
-// their declaring package, and taintwall walks callee bodies across the
-// module's call graph. All lookups are lazy and memoized — a package's
-// AST and type information load at most once per Run, shared with the
-// per-package analysis itself through the loader.
+// their declaring package, and wallclock and rand walk callee bodies
+// across the module's call graph. All lookups are lazy and memoized — a
+// package's AST and type information load at most once per Run, shared
+// with the per-package analysis itself through the loader.
 type modState struct {
-	l  *loader
-	rc *resolved
+	l   *loader
+	pol policy
 
 	decls    map[string]map[*types.Func]*ast.FuncDecl // pkg path -> func object -> decl
 	nodigest map[string]map[token.Pos]bool            // pkg path -> annotated field-name positions
 	enums    map[*types.TypeName][]enumMember
-	taints   map[*types.Func]*taintFacts
+	taints   map[*types.Func]taintFacts
 	taintRun map[*types.Func]bool // DFS guard for call-graph cycles
 }
 
-func newModState(l *loader, rc *resolved) *modState {
+func newModState(l *loader) *modState {
 	return &modState{
 		l:        l,
-		rc:       rc,
+		pol:      policy(l.module),
 		decls:    map[string]map[*types.Func]*ast.FuncDecl{},
 		nodigest: map[string]map[token.Pos]bool{},
 		enums:    map[*types.TypeName][]enumMember{},
-		taints:   map[*types.Func]*taintFacts{},
+		taints:   map[*types.Func]taintFacts{},
 		taintRun: map[*types.Func]bool{},
 	}
 }

@@ -18,23 +18,22 @@ type Analyzer struct {
 }
 
 // Pass is the per-package analysis context handed to each analyzer: the
-// type-checked package under analysis, the resolved policy config, and a
-// whole-module view for the cross-package passes (digestcover walks the
-// digested structs' defining packages, taintwall follows the call graph
-// into dependency bodies, exhaustive reads enum const blocks from their
-// declaring package).
+// type-checked package under analysis and a whole-module view (which
+// also carries the module's policy boundaries) for the cross-package
+// passes: digestcover walks the digested structs' defining packages,
+// wallclock and rand follow the call graph into dependency bodies,
+// exhaustive reads enum const blocks from their declaring package.
 type Pass struct {
 	Pkg *Package
-	rc  *resolved
 	mod *modState
 	rep reporter
 }
 
 // perFile adapts the single-file checks to the per-package run signature.
-func perFile(fn func(*Package, *ast.File, *resolved, reporter)) func(*Pass) {
+func perFile(fn func(*Package, *ast.File, policy, reporter)) func(*Pass) {
 	return func(pass *Pass) {
 		for _, f := range pass.Pkg.Files {
-			fn(pass.Pkg, f, pass.rc, pass.rep)
+			fn(pass.Pkg, f, pass.mod.pol, pass.rep)
 		}
 	}
 }
@@ -45,13 +44,13 @@ func perFile(fn func(*Package, *ast.File, *resolved, reporter)) func(*Pass) {
 var registry = []*Analyzer{
 	{
 		Name: CheckWallclock,
-		Doc:  "time.Now/Since/Until forbidden outside cmd/ and internal/trace; simulated code uses sim.Engine time",
-		run:  perFile(checkWallclock),
+		Doc:  "direct reads of time.Now/Since/Until, and call sites of module functions that reach them, forbidden outside cmd/ and internal/trace; simulated code uses sim.Engine time",
+		run:  checkSource(wallSource),
 	},
 	{
 		Name: CheckRand,
-		Doc:  "global math/rand(/v2) functions forbidden everywhere; only seeded generators (sim.RNG, rand.New) are allowed",
-		run:  perFile(checkRand),
+		Doc:  "direct uses of the global math/rand(/v2) functions, and call sites of module functions that reach them, forbidden everywhere; only seeded generators (sim.RNG, rand.New) are allowed",
+		run:  checkSource(randSource),
 	},
 	{
 		Name: CheckMapOrder,
@@ -82,11 +81,6 @@ var registry = []*Analyzer{
 		Name: CheckExhaustive,
 		Doc:  "switches and map literals over enum-like const blocks must cover every declared constant or carry an explicit default",
 		run:  checkExhaustive,
-	},
-	{
-		Name: CheckTaintWall,
-		Doc:  "calls to module functions that transitively reach time.Now or the global math/rand source are flagged at every call site",
-		run:  checkTaintWall,
 	},
 }
 

@@ -47,16 +47,16 @@ func TestSelectAnalyzers(t *testing.T) {
 	}
 	// Requested order does not matter: partial runs report in registry
 	// order, and duplicates collapse.
-	got, err := selectAnalyzers([]string{CheckTaintWall, CheckWallclock, CheckTaintWall})
+	got, err := selectAnalyzers([]string{CheckExhaustive, CheckWallclock, CheckExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name != CheckWallclock || got[1].Name != CheckTaintWall {
+	if len(got) != 2 || got[0].Name != CheckWallclock || got[1].Name != CheckExhaustive {
 		names := make([]string, len(got))
 		for i, a := range got {
 			names[i] = a.Name
 		}
-		t.Fatalf("subset = %v, want [wallclock taintwall] in registry order", names)
+		t.Fatalf("subset = %v, want [wallclock exhaustive] in registry order", names)
 	}
 	if _, err := selectAnalyzers([]string{"frobnicate"}); err == nil || !strings.Contains(err.Error(), "unknown check") {
 		t.Fatalf("unknown check selection error = %v, want unknown-check error", err)

@@ -6,56 +6,128 @@ import (
 	"strings"
 )
 
-// checkTaintWall extends the wallclock and rand checks from direct-call
-// detection to a transitive call-graph taint pass: a module function that
-// reaches time.Now/Since/Until or the unseeded global math/rand source —
-// directly or through any chain of module-internal calls — taints every
-// call site. A helper that wraps time.Now is therefore flagged in every
-// engine package that calls it, not just at its definition, and a
-// //caislint:ignore wallclock directive on the definition does not
-// launder the call sites.
+// sourceKind classifies a selector as one of the nondeterminism sources
+// the wallclock and rand checks police.
+type sourceKind int
+
+const (
+	notSource  sourceKind = iota
+	wallSource            // time.Now/Since/Until
+	randSource            // the unseeded global math/rand source
+)
+
+// sources describes each kind: the check that reports it, the package
+// name witness chains print, the module-relative packages allowed to
+// reach it, and the messages for a direct read and for a call that
+// reaches one.
+var sources = [...]struct {
+	check, pkg   string
+	allow        []string
+	direct, call string
+}{
+	wallSource: {
+		check:  CheckWallclock,
+		pkg:    "time",
+		allow:  wallclockAllow,
+		direct: "time.%s reads the wall clock; simulated code must use sim.Engine time (allowed only under cmd/ and internal/trace)",
+		call:   "call to %s transitively reads the wall clock (%s); simulated code must use sim.Engine time",
+	},
+	randSource: {
+		check:  CheckRand,
+		pkg:    "rand",
+		direct: "rand.%s uses the unseeded global source; use sim.RNG (sim.NewRNG or a labeled sim.NewStreamRNG stream) or a *rand.Rand seeded from the run configuration",
+		call:   "call to %s transitively uses the unseeded global math/rand source (%s); thread a seeded generator (sim.RNG) instead",
+	},
+}
+
+// randAllowed are the math/rand entry points that construct seeded
+// generators; everything else on the package (Intn, Float64, Shuffle,
+// Seed, ...) goes through the unseeded global source.
+var randAllowed = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewPCG":     true, // math/rand/v2
+	"NewChaCha8": true, // math/rand/v2
+	"NewZipf":    true, // takes a *rand.Rand, so it is already seeded
+}
+
+// source reports whether sel reads the wall clock, uses the unseeded
+// global math/rand source, or neither.
+func source(p *Package, sel *ast.SelectorExpr) sourceKind {
+	pkg := pkgOf(p, sel.X)
+	if pkg == nil {
+		return notSource
+	}
+	switch pkg.Path() {
+	case "time":
+		switch sel.Sel.Name {
+		case "Now", "Since", "Until":
+			return wallSource
+		}
+	case "math/rand", "math/rand/v2":
+		if randAllowed[sel.Sel.Name] {
+			return notSource
+		}
+		// Types (rand.Rand, rand.Source) are legitimate in signatures.
+		if obj, ok := p.Info.Uses[sel.Sel]; ok {
+			if _, isType := obj.(*types.TypeName); isType {
+				return notSource
+			}
+		}
+		return randSource
+	}
+	return notSource
+}
+
+// checkSource returns the pass behind the wallclock and rand checks. The
+// engine's sim.Time is the only clock and sim.RNG (or a *rand.Rand seeded
+// from the run configuration) the only randomness, so outside the kind's
+// allowed packages it reports every direct read of the source — in a
+// function body or a package-level initializer alike — and every call to
+// a module function that reaches one, directly or through any chain of
+// module calls, with the witness chain. A helper wrapping time.Now is
+// therefore flagged at each call site, and an ignore directive on the
+// helper's definition does not launder its callers (directives are
+// positional).
 //
-// Wallclock taint does not propagate out of the sanctioned packages
-// (cmd/, internal/trace): functions defined there may read the wall
-// clock by policy, so calling them is not a violation. Rand taint has no
-// sanctioned packages, matching the direct check. The pass follows named
-// functions and methods; function values and closures are outside its
-// reach (the direct checks still cover their bodies).
-func checkTaintWall(pass *Pass) {
-	p := pass.Pkg
-	wallAllowed := pathAllowed(p.Path, pass.rc.wallclockAllow)
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+// Taint does not propagate out of the allowed packages: functions
+// defined under cmd/ or internal/trace may read the wall clock by
+// policy, so calling them is not a violation. Rand has no allowed
+// packages. Named functions and methods are followed; function values
+// and closures are not (a direct read in their bodies is still seen).
+func checkSource(kind sourceKind) func(*Pass) {
+	src := &sources[kind]
+	return func(pass *Pass) {
+		p := pass.Pkg
+		if pass.mod.pol.under(p.Path, src.allow...) {
+			return
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if source(p, n) == kind {
+						pass.rep(n.Pos(), src.check, src.direct, n.Sel.Name)
+					}
+				case *ast.CallExpr:
+					fn := calleeFunc(p, n)
+					if fn == nil || !pass.mod.inModule(fn.Pkg()) {
+						return true
+					}
+					if chain := pass.mod.taintOf(fn)[kind]; chain != nil {
+						pass.rep(n.Pos(), src.check, src.call, shortFuncName(fn), strings.Join(chain, " -> "))
+					}
+				}
 				return true
-			}
-			fn := calleeFunc(p, call)
-			if fn == nil || !pass.mod.inModule(fn.Pkg()) {
-				return true
-			}
-			facts := pass.mod.taintOf(fn)
-			if facts.wall != nil && !wallAllowed {
-				pass.rep(call.Pos(), CheckTaintWall,
-					"call to %s transitively reads the wall clock (%s); simulated code must use sim.Engine time",
-					shortFuncName(fn), strings.Join(facts.wall, " -> "))
-			}
-			if facts.rand != nil {
-				pass.rep(call.Pos(), CheckTaintWall,
-					"call to %s transitively uses the unseeded global math/rand source (%s); thread a seeded generator (sim.RNG) instead",
-					shortFuncName(fn), strings.Join(facts.rand, " -> "))
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
-// taintFacts records, per function, a witness call chain to each taint
-// source; nil means clean for that flavor.
-type taintFacts struct {
-	wall []string // e.g. [util.Stamp, time.Now]
-	rand []string
-}
+// taintFacts records, per source kind, a witness call chain from a
+// function to the source (e.g. [util.Stamp, time.Now]); nil means the
+// function does not reach that kind.
+type taintFacts [len(sources)][]string
 
 // calleeFunc resolves a call expression to the named function or method
 // it invokes, or nil for closures, function values and builtins.
@@ -90,7 +162,7 @@ func shortFuncName(fn *types.Func) string {
 }
 
 // taintOf returns the (memoized) taint facts for a module function.
-func (m *modState) taintOf(fn *types.Func) *taintFacts {
+func (m *modState) taintOf(fn *types.Func) taintFacts {
 	facts, _ := m.taint(fn)
 	return facts
 }
@@ -100,38 +172,29 @@ func (m *modState) taintOf(fn *types.Func) *taintFacts {
 // is open are correct for the caller but under-explored, so they are not
 // memoized (direct sources are always seen by their own function's walk,
 // which keeps values exact; only caching is affected).
-func (m *modState) taint(fn *types.Func) (*taintFacts, bool) {
+func (m *modState) taint(fn *types.Func) (taintFacts, bool) {
 	if facts, ok := m.taints[fn]; ok {
 		return facts, true
 	}
 	if m.taintRun[fn] {
-		return &taintFacts{}, false
+		return taintFacts{}, false
 	}
 	m.taintRun[fn] = true
 	defer delete(m.taintRun, fn)
 
-	facts := &taintFacts{}
+	var facts taintFacts
 	complete := true
 	decl, p := m.declOf(fn)
 	if decl == nil || decl.Body == nil {
 		m.taints[fn] = facts
 		return facts, true
 	}
-	wallSanctioned := pathAllowed(fn.Pkg().Path(), m.rc.wallclockAllow)
 	self := shortFuncName(fn)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			switch source(p, n) {
-			case notSource:
-			case wallSource:
-				if facts.wall == nil && !wallSanctioned {
-					facts.wall = []string{self, "time." + n.Sel.Name}
-				}
-			case randSource:
-				if facts.rand == nil {
-					facts.rand = []string{self, "rand." + n.Sel.Name}
-				}
+			if k := source(p, n); k != notSource && facts[k] == nil {
+				facts[k] = []string{self, sources[k].pkg + "." + n.Sel.Name}
 			}
 		case *ast.CallExpr:
 			callee := calleeFunc(p, n)
@@ -142,15 +205,20 @@ func (m *modState) taint(fn *types.Func) (*taintFacts, bool) {
 			if !done {
 				complete = false
 			}
-			if child.wall != nil && facts.wall == nil && !wallSanctioned {
-				facts.wall = append([]string{self}, child.wall...)
-			}
-			if child.rand != nil && facts.rand == nil {
-				facts.rand = append([]string{self}, child.rand...)
+			for k, chain := range child {
+				if chain != nil && facts[k] == nil {
+					facts[k] = append([]string{self}, chain...)
+				}
 			}
 		}
 		return true
 	})
+	// Sanctioned packages absorb the taint they are allowed to reach.
+	for k := range facts {
+		if m.pol.under(fn.Pkg().Path(), sources[k].allow...) {
+			facts[k] = nil
+		}
+	}
 	if complete {
 		m.taints[fn] = facts
 	}

@@ -63,17 +63,9 @@ func (m *Machine) launchKernel(k *kernel.Kernel, wave int, onDone func()) {
 	// iteration order (gpu-major, then tb) is deterministic and identical
 	// across runs; per-GPU relative TB order is identical across GPUs,
 	// which keeps cross-GPU group synchronization deadlock-free.
-	//
-	// Each registration descriptor is transient — registerTB reads only
-	// its input runs — so the access-arena space every Work call
-	// allocates here is rewound immediately. Admission-time Work calls (at
-	// readyAt, strictly later) run outside any Mark window and their
-	// slices stay live for the machine's lifetime.
 	for g := range m.GPUs {
 		for tb := 0; tb < k.Grid; tb++ {
-			am := m.accs.Mark()
 			m.registerTB(launches[g], tb, k.Work(g, tb).In)
-			m.accs.Rewind(am)
 		}
 	}
 	m.launchScratch = launches[:0]

@@ -182,9 +182,7 @@ func (d *tbDep) reset() {
 
 // AccessArena exposes the per-run access-slice arena to the workload
 // builders: kernel Work generators allocate their Pre/Post slices here
-// instead of the heap. Slices live until the machine dies (or, inside the
-// machine's own registration loop, until the surrounding Mark/Rewind
-// window closes).
+// instead of the heap. Slices live until the machine dies.
 func (m *Machine) AccessArena() *pool.Arena[kernel.Access] { return &m.accs }
 
 // New assembles a machine for the hardware configuration.

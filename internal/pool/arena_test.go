@@ -33,66 +33,42 @@ func TestArenaOne(t *testing.T) {
 	}
 }
 
-func TestArenaMarkRewindReclaims(t *testing.T) {
-	var a Arena[int]
-	a.Make(10)
-	m := a.Mark()
-	first := a.Make(4)
-	first[0] = 42
-	a.Rewind(m)
-	second := a.Make(4)
-	// Same backing memory, and it must come back zeroed.
-	if &first[0] != &second[0] {
-		t.Fatal("Rewind did not reclaim arena space")
-	}
-	if second[0] != 0 {
-		t.Fatal("reclaimed arena slice not re-zeroed")
-	}
-	// A stale mark (taken after the position we rewound to) is a no-op.
-	a.Rewind(Mark{ci: 5, used: 0})
-	if got := a.Make(1); got == nil {
-		t.Fatal("arena unusable after stale rewind")
-	}
-}
-
 func TestArenaChunkSpillAndOversized(t *testing.T) {
 	var a Arena[byte]
-	total := 0
-	for total < 3*arenaChunk {
-		s := a.Make(100)
-		if len(s) != 100 {
+	chunks := 0
+	for total := 0; total < 3*arenaChunk; total += 100 {
+		free := len(a.free)
+		if s := a.Make(100); len(s) != 100 {
 			t.Fatalf("len = %d", len(s))
 		}
-		total += 100
+		if len(a.free) > free {
+			chunks++ // the request did not fit: a fresh chunk started
+		}
 	}
-	if len(a.chunks) < 3 {
-		t.Fatalf("chunks = %d, want >= 3 after %d elems", len(a.chunks), total)
+	if chunks < 3 {
+		t.Fatalf("chunks = %d, want >= 3 after %d elems", chunks, 3*arenaChunk)
 	}
-	chunks := len(a.chunks)
+	free := len(a.free)
 	big := a.Make(arenaChunk + 1)
 	if len(big) != arenaChunk+1 {
 		t.Fatalf("oversized Make len = %d", len(big))
 	}
-	// An oversized request gets a dedicated slab, not a chunk.
-	if len(a.chunks) != chunks {
-		t.Fatalf("chunks = %d after oversized Make, want %d", len(a.chunks), chunks)
+	// An oversized request gets a dedicated slab, not chunk space.
+	if len(a.free) != free {
+		t.Fatalf("active chunk has %d free after oversized Make, want %d", len(a.free), free)
 	}
 }
 
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	var a Arena[int]
-	// Warm one chunk, then Mark/Rewind cycles must not allocate at all.
-	m := a.Mark()
+	// Warm one chunk; while it has room, Make and One must not allocate.
 	a.Make(64)
-	a.Rewind(m)
 	allocs := testing.AllocsPerRun(100, func() {
-		mk := a.Mark()
 		s := a.Make(8)
 		s[0] = 1
 		_ = a.One(2)
-		a.Rewind(mk)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Mark/Make/Rewind allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state Make/One allocates %.1f/op, want 0", allocs)
 	}
 }
